@@ -96,11 +96,24 @@ def _runner_rows(payload: dict) -> Iterator[dict]:
                    payload["results_identical"], "bool")
 
 
+def _scaling_rows(payload: dict) -> Iterator[dict]:
+    for name, entry in (payload.get("series") or {}).items():
+        if entry.get("kernel_exponent") is None:
+            continue
+        scans = entry.get("full_scans") or []
+        yield _row("scaling", f"{name}_kernel_exponent",
+                   entry["kernel_exponent"], "",
+                   f"kernel {entry.get('largest_kernel_s')} s at "
+                   f"{entry.get('largest_lines')} lines, "
+                   f"full scans <= {max(scans, default=None)}")
+
+
 _EXTRACTORS = {
     "engine": _engine_rows,
     "ensemble": _ensemble_rows,
     "events": _events_rows,
     "runner": _runner_rows,
+    "scaling": _scaling_rows,
 }
 
 

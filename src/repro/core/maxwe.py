@@ -398,6 +398,12 @@ class MaxWE(SpareScheme):
             floor = min(floor, self._swr_line_floor)
         return floor
 
+    def ensemble_replacement_capacity(self) -> int:
+        """Replacements still available: one SWR failover per original
+        RWR line still in place plus one rescue per pool line left."""
+        self._require_initialized()
+        return self._rwr_originals_left + self.pool_remaining
+
     # ------------------------------------------------------------------
     # Integrity introspection
     # ------------------------------------------------------------------

@@ -18,22 +18,13 @@ one engine invocation:
   ``w_max`` are computed once per distinct weight vector and reused
   across trials (identical inputs give identical floats, so sharing is
   bit-safe).
-* **Value-partition epoch selection** -- when a trial's scheme promises
-  it never removes slots (:attr:`SpareScheme.ensemble_never_removes`)
-  and every slot is wear-prone, each slot's death time stays finite
-  until the trial's terminal failure.  The solo kernel's
-  candidates/argpartition/trim/prefix pipeline then reduces to a value
-  partition plus one comparison sweep (:func:`_fast_epoch`), selecting
-  *exactly* the same epoch at a fraction of the cost.
 
-Each trial's epoch loop is otherwise a line-for-line port of the solo
-``fluid-batched`` kernel operating on that trial's row: same
-``BATCH_LIMIT`` windows, same chronologically-safe prefix from a floor
-fetched once before the loop, same truncation and accounting order.
-Results therefore split back into per-trial
-:class:`~repro.sim.result.SimulationResult` objects bit-identical to
-solo ``fluid-batched`` runs of the same seeds (only ``metadata["engine"]``
-differs), which the differential tests pin.
+Every trial then runs the one batched epoch kernel,
+:func:`repro.sim.kernel.advance_trial`, on its own row -- the same loop
+solo ``fluid-batched`` runs as a one-trial case -- so per-trial
+:class:`~repro.sim.result.SimulationResult` objects are bit-identical to
+solo runs of the same seeds (only ``metadata["engine"]`` differs), which
+the differential tests pin.
 
 Trials that die early simply stop: advancement is per-trial over the
 stacked state, so a trial failing in epoch 0 contributes no further
@@ -56,12 +47,9 @@ from repro.device.faults import FaultModel
 from repro.endurance.emap import EnduranceMap
 from repro.obs.metrics import MetricsRegistry, maybe_span
 from repro.sim.faults import FaultInjector, active_injector, active_task_key
-from repro.sim.result import SimulationResult, TimelineEvent
+from repro.sim.kernel import advance_trial, weight_stats
+from repro.sim.result import SimulationResult
 from repro.sparing.base import (
-    BATCH_EXTEND,
-    BATCH_FAIL,
-    BATCH_REMOVE,
-    BATCH_REPLACE,
     BatchedSchemeState,
     FallbackSchemeState,
     SpareScheme,
@@ -74,10 +62,6 @@ from repro.wearlevel.none import NoWearLeveling
 
 #: The engine name this module implements.
 ENGINE_NAME = "fluid-ensemble"
-
-#: Shared empty index array for the no-removal fast path.
-_EMPTY_POSITIONS = np.empty(0, dtype=np.intp)
-
 
 @dataclass
 class EnsembleMember:
@@ -94,132 +78,6 @@ class EnsembleMember:
     wearleveler: Optional[WearLeveler] = None
     fault_model: Optional[FaultModel] = None
     rng: RandomState = None
-
-
-def _fast_epoch_work(
-    row: np.ndarray,
-    floor: float,
-    w_max: float,
-    sentinel: float,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Work-set epoch selection on the candidate *row* itself.
-
-    ``row`` holds the candidate slots' death times (in ascending-slot
-    order) and the return value indexes into it: ``(positions, times)``
-    sorted by ``(time, position)``.  Callers map positions to global
-    slots -- or scatter through them directly when they keep the row as
-    the live copy of the candidates' state.  Returns ``None`` when the
-    work-set guarantee slipped (epoch bound at or above the smallest
-    excluded time); see :func:`_fast_epoch` for the equivalence argument.
-    """
-    from repro.sim.lifetime import BATCH_LIMIT
-
-    if math.isinf(floor):
-        t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-        if not t_max < sentinel:
-            return None
-        pos = np.flatnonzero(row < t_max)
-        if not pos.size:
-            pos = np.flatnonzero(row == t_max)
-    else:
-        t_min = float(row.min())
-        bound = t_min + floor / w_max
-        if not bound <= sentinel:
-            return None
-        pos = np.flatnonzero(row < bound)
-        if pos.size >= BATCH_LIMIT:
-            t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-            if not t_max < sentinel:
-                return None
-            pos = np.flatnonzero(row < t_max)
-            if not pos.size:
-                pos = np.flatnonzero(row == t_max)
-        elif not pos.size:
-            if not t_min < sentinel:
-                return None
-            pos = np.flatnonzero(row == t_min)[:1]
-    times = row[pos]
-    # Death times tie heavily (lines of a region share one endurance), so
-    # the one-shot stable sort beats a detect-ties-then-resort scheme.
-    order = np.argsort(times, kind="stable")
-    return pos[order], times[order]
-
-
-def _fast_epoch(
-    current_death: np.ndarray,
-    floor: float,
-    w_max: float,
-    work: Optional[np.ndarray] = None,
-    sentinel: float = math.inf,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Select one epoch assuming every slot is finite and wear-prone.
-
-    Equivalent to the solo kernel's selection pipeline -- argpartition of
-    the ``BATCH_LIMIT`` nearest deaths, trim to a complete time-prefix,
-    sort by ``(time, slot)``, cut at the chronologically safe bound --
-    but driven by death-time *values*:
-
-    * With ``c`` = the number of times strictly below the safety bound,
-      ``c < BATCH_LIMIT`` implies the bound is at or below the selection's
-      max time, so the epoch is exactly ``{time < bound}`` and the
-      partition is skipped entirely (the common case: epochs are much
-      smaller than ``BATCH_LIMIT``).
-    * Otherwise the ``BATCH_LIMIT``-th smallest value caps the epoch just
-      as the solo trim does, with the same full-tie-class fallback.
-
-    Epoch content only ever depends on time values (the solo trim makes
-    it independent of argpartition tie-breaking), so this selection is
-    bit-identical.  Returns ``(sel, times)`` sorted by ``(time, slot)``.
-
-    ``work`` (with its ``sentinel``) restricts the scans to a candidate
-    subset: an ascending array of slot ids guaranteed to hold the
-    smallest death times, every excluded slot's time being >= sentinel
-    (see the prefilter in :func:`_advance_trial`).  Selection criteria
-    are strict ``<`` comparisons against bounds verified to sit at or
-    below the sentinel, so the subset sees exactly the full row's epoch;
-    when that verification fails (bound above the sentinel, an unbounded
-    epoch, or a tie class touching the sentinel) the function returns
-    ``None`` and the caller re-runs the selection on the full row.
-    """
-    from repro.sim.lifetime import BATCH_LIMIT
-
-    if work is not None:
-        epoch = _fast_epoch_work(current_death[work], floor, w_max, sentinel)
-        if epoch is None:
-            return None
-        pos, times = epoch
-        # ``work`` ascending keeps work[pos] in the ascending-slot order
-        # the stable time sort of the helper relied on.
-        return work[pos], times
-
-    over = current_death.size > BATCH_LIMIT
-    if math.isinf(floor):
-        if over:
-            t_max = np.partition(current_death, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-            sel = np.flatnonzero(current_death < t_max)
-            if not sel.size:
-                sel = np.flatnonzero(current_death == t_max)
-        else:
-            sel = np.arange(current_death.size, dtype=np.intp)
-    else:
-        bound = float(current_death.min()) + floor / w_max
-        sel = np.flatnonzero(current_death < bound)
-        if over and sel.size >= BATCH_LIMIT:
-            t_max = np.partition(current_death, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-            sel = np.flatnonzero(current_death < t_max)
-            if not sel.size:
-                sel = np.flatnonzero(current_death == t_max)
-        elif not sel.size:
-            # Degenerate floor == 0.0: the solo prefix clamp
-            # (max(prefix, 1)) keeps exactly the earliest death, ties
-            # broken by slot id.
-            sel = np.flatnonzero(current_death == current_death.min())[:1]
-    times = current_death[sel]
-    # flatnonzero/arange yield ascending slots, so a stable time sort
-    # equals the solo kernel's lexsort((sel, times)).  Ties are common
-    # (region-mates share an endurance), so sort stably outright.
-    order = np.argsort(times, kind="stable")
-    return sel[order], times[order]
 
 
 def _delegate_with_shadow(
@@ -402,8 +260,7 @@ def simulate_ensemble(
                         active_weight, w_max = cached_sum, cached_max
                         break
                 if active_weight is None:
-                    active_weight = math.fsum(weights)
-                    w_max = float(weights.max()) if weights.size else 0.0
+                    active_weight, w_max, _ = weight_stats(weights)
                     if len(weight_cache) < 8:
                         weight_cache.append((weights, active_weight, w_max))
                 wl_desc = wl.describe()
@@ -465,21 +322,10 @@ def simulate_ensemble(
                     f"{task_key}#trial={index}" if task_key else identity
                 )
 
-            # The fast selection needs every death time finite for the
-            # trial's whole life: no removals (scheme promise), every
-            # slot wear-prone, and no state corruption in flight.
-            fast = (
-                state.never_removes
-                and corruptor is None
-                and guard is None
-                and slots > 0
-                and all_prone
-            )
-
         with maybe_span(metrics, "sim/kernel"):
             try:
                 served, deaths, replacements, failure_reason, timeline, extra_meta = (
-                    _advance_trial(
+                    advance_trial(
                         state,
                         index,
                         endurance=endurance,
@@ -496,7 +342,6 @@ def simulate_ensemble(
                         total_endurance=total_endurance,
                         record_timeline=record_timeline,
                         max_timeline_events=max_timeline_events,
-                        fast=fast,
                         w_scalar=w_scalar,
                         metrics=metrics,
                     )
@@ -536,452 +381,3 @@ def simulate_ensemble(
     if metrics is not None:
         metrics.inc("sim.ensembles")
     return results
-
-def _advance_trial(
-    state: BatchedSchemeState,
-    trial: int,
-    *,
-    endurance: np.ndarray,
-    backing: np.ndarray,
-    weights: np.ndarray,
-    eta: float,
-    current_death: np.ndarray,
-    min_user_slots: int,
-    active_weight: float,
-    w_max: float,
-    guard: Optional[EngineGuard],
-    corruptor: Optional[FaultInjector],
-    integrity_key: str,
-    total_endurance: float,
-    record_timeline: bool,
-    max_timeline_events: int,
-    fast: bool,
-    w_scalar: Optional[float] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Tuple[float, int, int, str, List[TimelineEvent], dict]:
-    """Advance one trial to device failure (solo epoch-kernel port).
-
-    Identical structure to the solo ``fluid-batched`` loop: the floor is
-    fetched once before the loop and never refreshed, epochs are cut and
-    truncated the same way, and every accounting expression keeps the
-    solo evaluation order, so death/replacement counts and the served
-    integral match bit for bit.  ``fast`` switches only the epoch
-    *selection* to :func:`_fast_epoch` (proven equivalent).  ``w_scalar``
-    may be set when every entry of ``weights`` equals it; scalar
-    divisions then replace the elementwise gathers bit-identically.
-
-    The trial also runs the solo kernel's adaptive regime switch: after
-    :data:`~repro.sim.lifetime.SEQUENTIAL_ENTER_STREAK` consecutive
-    one-death epochs, selection moves to a
-    :class:`~repro.sim.frontier.DeathFrontier` over the compact work row
-    (or the full row) and back the moment an epoch cannot be proven
-    identical to the vectorized selection.  Epoch *content* is identical
-    in either regime, so results stay bit-identical to solo runs; only
-    the regime counters in the returned extra metadata may differ from
-    the solo kernel's (the index's work-set geometry differs).
-    """
-    from repro.sim.frontier import DeathFrontier
-    from repro.sim.lifetime import (
-        BATCH_LIMIT,
-        FRONTIER_LIMIT,
-        SEQUENTIAL_ENTER_STREAK,
-        SEQUENTIAL_EPOCH_CAP,
-        _ACTION_NAMES,
-        _DEGENERATE_REASON,
-        _EXHAUSTED_REASON,
-        _apply_state_corruption,
-    )
-
-    served = 0.0
-    v_now = 0.0
-    deaths = 0
-    rounds = 0
-    replacements = 0
-    epochs = 0
-    live_count = backing.size
-    failure_reason = _DEGENERATE_REASON
-    timeline: List[TimelineEvent] = []
-    floor = state.replacement_extra_floor(trial)
-    # Tightened safe-prefix bound (solo-kernel mirror): the largest
-    # weight among still-prone slots, recomputed lazily when the last
-    # prone slot at the current maximum is removed.  Identical update
-    # points to the solo kernel keep epoch grouping bit-identical.
-    w_max_active = w_max
-    w_max_live = -1
-    frontier: Optional[DeathFrontier] = None
-    frontier_on_work = False
-    sequential_ok = guard is None and corruptor is None
-    size1_streak = 0
-    sequential_rounds = 0
-    regime_switches = 0
-    full_scans = 0
-
-    # Candidate prefilter (fast path only).  A replacement's new death
-    # time always lands at or above the epoch bound that selected it --
-    # that is exactly why epoch grouping is chronologically safe -- so
-    # with at most ``capacity`` replacements ever granted and at most
-    # ``BATCH_LIMIT`` slots selected per epoch, every epoch draws from
-    # the ``capacity + BATCH_LIMIT`` smallest initial death times.
-    # Restricting the per-epoch scans to that work-set is exact while
-    # each epoch's bound stays at or below the smallest excluded time
-    # (``_fast_epoch`` checks, and the trial falls back to full-row
-    # scans if the guarantee ever slips).
-    work: Optional[np.ndarray] = None
-    work_sentinel = math.inf
-    # Compact mode: with a work-set in place and nobody auditing the full
-    # arrays mid-loop, the candidates' death times, backing lines and
-    # weights are copied into dense rows that fit the cache, every
-    # per-epoch scan and scatter runs on those rows (same float values,
-    # compact layout, so decisions and accounting are unchanged), and the
-    # rows are scattered back into the full arrays when the trial ends or
-    # falls back to full-row scans.
-    cd_work: Optional[np.ndarray] = None
-    bk_work: Optional[np.ndarray] = None
-    w_work: Optional[np.ndarray] = None
-    if fast:
-        capacity = state.replacement_capacity(trial)
-        if capacity is not None:
-            limit = int(capacity) + BATCH_LIMIT + 1
-            if limit < current_death.size:
-                # Value-partition: every slot strictly below the
-                # (limit+1)-th smallest death time, ascending (and so
-                # already sorted), every excluded time >= the sentinel.
-                # Ties at the threshold land outside the set, so require
-                # enough candidates for the in-set partitions.
-                threshold = float(np.partition(current_death, limit)[limit])
-                candidates = np.flatnonzero(current_death < threshold)
-                if candidates.size > BATCH_LIMIT:
-                    work = candidates
-                    work_sentinel = threshold
-                    if guard is None and corruptor is None:
-                        cd_work = current_death[work]
-                        bk_work = backing[work]
-                        if w_scalar is None:
-                            w_work = weights[work]
-
-    def view():
-        assert guard is not None
-        return guard.make_view(
-            served=served,
-            v_now=v_now,
-            deaths=deaths,
-            backing=backing,
-            current_death=current_death,
-            trial=trial,
-        )
-
-    while True:
-        rounds += 1
-        if corruptor is not None:
-            kind = corruptor.corrupt_state(integrity_key, rounds)
-            if kind is not None:
-                served = _apply_state_corruption(
-                    kind, served, backing, current_death, total_endurance
-                )
-        if guard is not None:
-            guard.on_round(view)
-
-        pos = None
-        sel = None
-        if frontier is not None:
-            # Sequential micro-loop: pop the epoch off the index (over
-            # the compact work row in compact mode, positions doubling as
-            # slot order because ``work`` is ascending) and fall back the
-            # moment equivalence to the vectorized selection is unproven.
-            picked = frontier.pop_epoch(
-                floor,
-                w_max_active,
-                min(SEQUENTIAL_EPOCH_CAP, BATCH_LIMIT - 1),
-                ceiling=work_sentinel if frontier_on_work else math.inf,
-            )
-            if picked is None:
-                frontier = None
-                size1_streak = 0
-                regime_switches += 1
-            elif not picked[0]:
-                if deaths > 0:
-                    failure_reason = _EXHAUSTED_REASON
-                break
-            else:
-                sequential_rounds += 1
-                times = np.asarray(picked[1], dtype=float)
-                if frontier_on_work:
-                    pos = np.asarray(picked[0], dtype=np.intp)
-                    sel = work[pos]
-                else:
-                    sel = np.asarray(picked[0], dtype=np.intp)
-        if sel is None:
-            full_scans += 1
-            if fast:
-                epoch = None
-                if work is not None:
-                    if cd_work is not None:
-                        found = _fast_epoch_work(
-                            cd_work, floor, w_max_active, work_sentinel
-                        )
-                        if found is not None:
-                            pos, times = found
-                            epoch = (work[pos], times)
-                    else:
-                        epoch = _fast_epoch(
-                            current_death, floor, w_max_active, work, work_sentinel
-                        )
-                    if epoch is None:
-                        # Guarantee slipped: full rows from here on.
-                        if cd_work is not None:
-                            current_death[work] = cd_work
-                            backing[work] = bk_work
-                            cd_work = bk_work = w_work = None
-                        work = None
-                if epoch is None:
-                    epoch = _fast_epoch(current_death, floor, w_max_active)
-                sel, times = epoch
-            else:
-                candidates = np.flatnonzero(np.isfinite(current_death))
-                if candidates.size == 0:
-                    if deaths > 0:
-                        failure_reason = _EXHAUSTED_REASON
-                    break
-                if candidates.size > BATCH_LIMIT:
-                    nearest = np.argpartition(
-                        current_death[candidates], BATCH_LIMIT - 1
-                    )[:BATCH_LIMIT]
-                    sel = candidates[nearest]
-                    times = current_death[sel]
-                    t_max = times.max()
-                    strictly_before = times < t_max
-                    if strictly_before.any():
-                        sel = sel[strictly_before]
-                        times = times[strictly_before]
-                    else:
-                        sel = candidates[current_death[candidates] == t_max]
-                        times = current_death[sel]
-                else:
-                    sel = candidates
-                    times = current_death[sel]
-                order = np.lexsort((sel, times))
-                sel = sel[order]
-                times = times[order]
-                if floor is None:
-                    prefix = 1
-                elif math.isinf(floor):
-                    prefix = sel.size
-                else:
-                    bound = times[0] + floor / w_max_active
-                    prefix = max(
-                        int(np.searchsorted(times, bound, side="left")), 1
-                    )
-                sel = sel[:prefix]
-                times = times[:prefix]
-        epochs += 1
-
-        # Fancy index: a copy, safe to keep.  In compact mode the backing
-        # row is the live copy, so read it there.
-        dead_lines = bk_work[pos] if pos is not None else backing[sel]
-        actions, out_lines, out_wear, fail_reason = state.replace_batch(
-            trial, sel, dead_lines
-        )
-        count = int(actions.size)
-
-        # never_removes schemes cannot emit BATCH_REMOVE, so the scan
-        # for removals is skipped outright on the fast path.
-        if fast:
-            removal_positions = _EMPTY_POSITIONS
-        else:
-            removal_positions = np.flatnonzero(actions == BATCH_REMOVE)
-        allowed_removals = live_count - min_user_slots
-        if removal_positions.size > allowed_removals:
-            count = int(removal_positions[allowed_removals]) + 1
-            actions = actions[:count]
-            removal_positions = removal_positions[: allowed_removals + 1]
-            fail_reason = None  # capacity failure preempts a later one
-            capacity_failed = True
-        else:
-            capacity_failed = False
-        sel = sel[:count]
-        times = times[:count]
-        dead_lines = dead_lines[:count]
-        if pos is not None:
-            pos = pos[:count]
-        lines = out_lines[:count]
-        wear = out_wear[:count]
-        deaths += count
-        if guard is not None:
-            guard.record_batch(sel, dead_lines, actions, lines, wear)
-
-        # Served-writes integral; with no removals the per-segment active
-        # weight is constant, and `active_weight - 0.0` is exact, so the
-        # scalar product keeps the solo elementwise rounding.  The manual
-        # difference is the same subtractions ``np.diff(..., prepend=)``
-        # performs, minus its concatenate.
-        dv = np.empty(count)
-        dv[0] = times[0] - v_now
-        if count > 1:
-            np.subtract(times[1:], times[:-1], out=dv[1:])
-        if removal_positions.size:
-            removed_w = np.zeros(count)
-            removed_w[removal_positions] = weights[sel[removal_positions]]
-            drained = np.cumsum(removed_w)
-            seg_active = active_weight - (drained - removed_w)
-            increments = dv * seg_active * eta
-        else:
-            increments = dv * active_weight * eta
-        served_at = served + np.cumsum(increments)
-        served = float(served_at[-1])
-        v_now = float(times[-1])
-        if removal_positions.size:
-            active_weight -= float(drained[-1])
-
-        rep = np.flatnonzero(actions == BATCH_REPLACE)
-        if rep.size:
-            replacements += int(rep.size)
-            if rep.size == count:
-                # All-replace epoch (the Max-WE steady state): the gather
-                # by ``rep`` is the identity, so skip it.
-                rep_slots, rep_lines, rep_times = sel, lines, times
-                rep_pos = pos
-            else:
-                rep_slots = sel[rep]
-                rep_lines = lines[rep]
-                rep_times = times[rep]
-                rep_pos = pos[rep] if pos is not None else None
-            # Constant weight vectors divide by the scalar instead: the
-            # elementwise quotients are bit-identical and the 472 KB
-            # weights row stays untouched.
-            if rep_pos is not None:
-                bk_work[rep_pos] = rep_lines
-                divisor = w_work[rep_pos] if w_scalar is None else w_scalar
-                rep_deaths = rep_times + endurance[rep_lines] / divisor
-                cd_work[rep_pos] = rep_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        rep_pos.tolist(), rep_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
-            else:
-                backing[rep_slots] = rep_lines
-                divisor = weights[rep_slots] if w_scalar is None else w_scalar
-                rep_deaths = rep_times + endurance[rep_lines] / divisor
-                current_death[rep_slots] = rep_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        rep_slots.tolist(), rep_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
-        ext = np.flatnonzero(actions == BATCH_EXTEND)
-        if ext.size:
-            replacements += int(ext.size)
-            if pos is not None:
-                ext_pos = pos[ext]
-                ext_divisor = w_work[ext_pos] if w_scalar is None else w_scalar
-                ext_deaths = times[ext] + wear[ext] / ext_divisor
-                cd_work[ext_pos] = ext_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        ext_pos.tolist(), ext_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
-            else:
-                ext_slots = sel[ext]
-                ext_divisor = (
-                    weights[ext_slots] if w_scalar is None else w_scalar
-                )
-                ext_deaths = times[ext] + wear[ext] / ext_divisor
-                current_death[ext_slots] = ext_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        ext_slots.tolist(), ext_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
-        if removal_positions.size:
-            removed_slots = sel[removal_positions]
-            current_death[removed_slots] = math.inf
-            live_count -= int(removal_positions.size)
-            if floor is not None and not math.isinf(floor):
-                # Solo-kernel mirror: identical w_max_active updates keep
-                # epoch grouping bit-identical to solo fluid-batched.
-                dead_w = weights[removed_slots]
-                if np.any(dead_w == w_max_active):
-                    if w_max_live < 0:
-                        w_max_live = int(
-                            np.count_nonzero(
-                                weights[np.isfinite(current_death)]
-                                == w_max_active
-                            )
-                        )
-                    else:
-                        w_max_live -= int(
-                            np.count_nonzero(dead_w == w_max_active)
-                        )
-                    if w_max_live == 0:
-                        survivors = weights[np.isfinite(current_death)]
-                        if survivors.size:
-                            w_max_active = float(survivors.max())
-                            w_max_live = int(
-                                np.count_nonzero(survivors == w_max_active)
-                            )
-        if fail_reason is not None:
-            if pos is not None:
-                cd_work[pos[count - 1]] = math.inf
-            else:
-                current_death[sel[count - 1]] = math.inf
-
-        if record_timeline and len(timeline) < max_timeline_events:
-            room = max_timeline_events - len(timeline)
-            for k in range(min(count, room)):
-                action = int(actions[k])
-                timeline.append(
-                    TimelineEvent(
-                        writes_served=float(served_at[k]),
-                        slot=int(sel[k]),
-                        dead_line=int(dead_lines[k]),
-                        action=_ACTION_NAMES[action],
-                        replacement_line=int(lines[k])
-                        if action == BATCH_REPLACE
-                        else None,
-                    )
-                )
-
-        if metrics is not None:
-            metrics.observe("sim.epoch_size", count)
-        if capacity_failed:
-            failure_reason = (
-                f"capacity degraded below user capacity "
-                f"({live_count} < {min_user_slots} slots)"
-            )
-            break
-        if fail_reason is not None:
-            failure_reason = fail_reason
-            break
-        if frontier is None and sequential_ok:
-            if count == 1:
-                size1_streak += 1
-                if size1_streak >= SEQUENTIAL_ENTER_STREAK and BATCH_LIMIT > 1:
-                    target = cd_work if cd_work is not None else current_death
-                    candidate = DeathFrontier(target, limit=FRONTIER_LIMIT)
-                    if candidate.degenerate:
-                        # A minimum tie class wider than the work set can
-                        # only keep degenerating; stay vectorized.
-                        sequential_ok = False
-                    else:
-                        frontier = candidate
-                        frontier_on_work = cd_work is not None
-                        size1_streak = 0
-                        regime_switches += 1
-            else:
-                size1_streak = 0
-
-    if cd_work is not None:
-        # Publish the compact rows so post-trial consumers of the full
-        # arrays observe exactly the values the loop computed.
-        current_death[work] = cd_work
-        backing[work] = bk_work
-    if guard is not None:
-        guard.final_check(view)
-    extra_meta = {
-        "epochs": epochs,
-        "sequential_rounds": sequential_rounds,
-        "regime_switches": regime_switches,
-        "full_scans": full_scans,
-    }
-    return served, deaths, replacements, failure_reason, timeline, extra_meta

@@ -105,7 +105,7 @@ _PROBABILITY_FIELDS = (
 
 #: Corruption shapes a ``corrupt-state`` injection picks from, each
 #: targeting a different invariant family (see
-#: :func:`repro.sim.lifetime._apply_state_corruption`).
+#: :func:`repro.sim.kernel.apply_state_corruption`).
 CORRUPT_KINDS = ("wear", "mapping", "death")
 
 

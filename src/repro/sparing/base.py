@@ -398,10 +398,10 @@ class SpareScheme(ABC):
 
         With :attr:`ensemble_never_removes` schemes, only slots whose
         death times fall among the ``capacity + BATCH_LIMIT`` smallest can
-        ever be selected before the device fails, so the ensemble kernel
-        uses this bound to restrict its per-epoch scans to that candidate
-        set (see ``sim/ensemble.py``).  Must be an over-estimate, never an
-        under-estimate; ``None`` (the default) disables the prefilter.
+        ever be selected before the device fails, so the batched epoch
+        kernel restricts its per-epoch scans to that work set (see
+        ``sim/kernel.py``).  Must be an over-estimate, never an
+        under-estimate; ``None`` (the default) disables the work set.
         """
         return None
 
