@@ -5,7 +5,8 @@ two shapes -- 8 lines per region (``lpr8``) and the paper's 2048-region
 layout (``r2048``, whose 2^22-line point is the paper's 1 GB device of
 256-B lines) -- for UAA and BPA against Max-WE and PS.  Every point
 records its ``sim/init`` and ``sim/kernel`` spans and the kernel's
-structural counters (epochs, full scans, sequential rounds); every
+structural counters (epochs, full scans, near-window refreshes,
+sequential rounds); every
 (shape, attack, scheme) series gets a least-squares kernel exponent
 ``k`` in ``kernel_s ~ lines^k``.  Emits ``BENCH_scaling.json`` at the
 repo root (and a copy under ``benchmarks/results/``):
@@ -16,9 +17,12 @@ The structural check is what CI gates on, never wall time: UAA selection
 must stay at most two O(slots) passes (``full_scans``) at every size --
 one work-set build, then epochs from the compact row -- and BPA's
 one-death stream must ride the sequential regime (full scans bounded by
-the entry streak per regime switch).  ``--quick`` runs a small ladder
-(2^13 .. 2^16 lines) for the CI smoke job; the script exits 1 when the
-check fails.
+the entry streak per regime switch).  UAA's near window must stay cheap:
+at most ``window_refresh_bound(deaths)`` refreshes per run, and on
+``WINDOW_POINT`` (a work row long enough to engage the window) at least
+one.  ``--quick`` runs a small ladder (2^13 .. 2^16 lines) plus
+``WINDOW_POINT`` for the CI smoke job; the script exits 1 when the check
+fails.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from time import perf_counter
 
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import ExperimentConfig
+import repro.sim.lifetime as tuning
 from repro.sim.lifetime import SEQUENTIAL_ENTER_STREAK, simulate_lifetime
 from repro.sim.runner import build_attack, build_sparing
 
@@ -59,6 +64,24 @@ SEED = 2019
 #: UAA may spend at most this many O(slots) selection passes per run.
 UAA_FULL_SCAN_BOUND = 2
 
+#: (shape, lines, attack, scheme) of a point whose ~110k-slot work row
+#: engages the near window; --quick adds it to its small ladder.
+WINDOW_POINT = ("r2048", 2**20, "uaa", "max-we")
+
+
+def window_refresh_bound(deaths: int) -> float:
+    """Most near-window refreshes a UAA run with ``deaths`` deaths may do.
+
+    A fresh window holds the ``NEAR_WINDOW`` smallest work-row times and
+    is refreshed only once fewer than ``BATCH_LIMIT`` of them remain, so
+    one refresh per ``NEAR_WINDOW - BATCH_LIMIT`` deaths, after the first
+    build.  The factor 2 covers a fresh window that cannot prove its
+    first epoch (it is rebuilt at the next one) and tie classes at the
+    cut, which shrink a window.  At the defaults that is one refresh per
+    ~14k deaths against an epoch of up to 4096.
+    """
+    return 2 * (1 + deaths / (tuning.NEAR_WINDOW - tuning.BATCH_LIMIT))
+
 
 def _point(shape: str, lines: int, attack: str, scheme: str) -> dict:
     regions, per = SHAPES[shape](lines)
@@ -75,7 +98,8 @@ def _point(shape: str, lines: int, attack: str, scheme: str) -> dict:
         metrics=metrics,
     )
     seconds = perf_counter() - started
-    timings = metrics.snapshot()["timings"]
+    snapshot = metrics.snapshot()
+    timings = snapshot["timings"]
     kernel = float(timings["sim/kernel"]["sum"])
     meta = result.metadata
     return {
@@ -94,6 +118,7 @@ def _point(shape: str, lines: int, attack: str, scheme: str) -> dict:
         else None,
         "epochs": meta.get("epochs"),
         "full_scans": meta.get("full_scans"),
+        "window_refreshes": snapshot["counters"].get("sim.window_refreshes", 0),
         "sequential_rounds": meta.get("sequential_rounds"),
         "regime_switches": meta.get("regime_switches"),
         "failure_reason": result.failure_reason,
@@ -116,22 +141,27 @@ def _exponent(points: list[dict]) -> float | None:
     return round(slope, 3)
 
 
+def _measure(shape: str, lines: int, attack: str, scheme: str) -> dict:
+    point = _point(shape, lines, attack, scheme)
+    print(
+        f"{shape:6s} {attack} {scheme:6s} 2^{lines.bit_length() - 1}: "
+        f"init {point['init_s']:.3f} s  kernel {point['kernel_s']:.3f} s  "
+        f"epochs {point['epochs']}  full_scans {point['full_scans']}  "
+        f"window_refreshes {point['window_refreshes']}",
+        flush=True,
+    )
+    return point
+
+
 def run_bench(quick: bool = False) -> dict:
     exponents = QUICK_EXPONENTS if quick else FULL_EXPONENTS
     _point("lpr8", 2**10, "uaa", "max-we")  # untimed warm-up
     points = []
     series = {}
     for shape, attack, scheme in itertools.product(SHAPES, ATTACKS, SCHEMES):
-        members = []
-        for exponent in exponents:
-            point = _point(shape, 2**exponent, attack, scheme)
-            members.append(point)
-            print(
-                f"{shape:6s} {attack} {scheme:6s} 2^{exponent}: "
-                f"init {point['init_s']:.3f} s  kernel {point['kernel_s']:.3f} s  "
-                f"epochs {point['epochs']}  full_scans {point['full_scans']}",
-                flush=True,
-            )
+        members = [
+            _measure(shape, 2**exponent, attack, scheme) for exponent in exponents
+        ]
         points.extend(members)
         series[f"{shape}/{attack}/{scheme}"] = {
             "kernel_exponent": _exponent(members),
@@ -139,8 +169,11 @@ def run_bench(quick: bool = False) -> dict:
             "largest_kernel_s": members[-1]["kernel_s"],
             "largest_init_s": members[-1]["init_s"],
             "full_scans": [p["full_scans"] for p in members],
+            "window_refreshes": [p["window_refreshes"] for p in members],
             "epochs": [p["epochs"] for p in members],
         }
+    if quick:
+        points.append(_measure(*WINDOW_POINT))
     return {
         "bench": "scaling",
         "description": "fluid-batched init/kernel cost and selection counters "
@@ -163,6 +196,17 @@ def check_structure(payload: dict) -> list[str]:
         scans = point["full_scans"]
         if point["attack"] == "uaa" and scans > UAA_FULL_SCAN_BOUND:
             problems.append(f"{label}: {scans} full scans > {UAA_FULL_SCAN_BOUND}")
+        refreshes = point["window_refreshes"]
+        if point["attack"] == "uaa":
+            bound = window_refresh_bound(point["deaths"])
+            if refreshes > bound:
+                problems.append(
+                    f"{label}: {refreshes} window refreshes > {bound:.1f} "
+                    f"({point['epochs']} epochs)"
+                )
+        key = (point["shape"], point["lines"], point["attack"], point["sparing"])
+        if key == WINDOW_POINT and refreshes < 1:
+            problems.append(f"{label}: near window never engaged")
         if point["attack"] == "bpa":
             switches = point["regime_switches"]
             if switches < 1:
@@ -183,7 +227,7 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="2^13..2^16 lines only (CI smoke; gates on counters)",
+        help="2^13..2^16 lines plus one window point (CI smoke; gates on counters)",
     )
     args = parser.parse_args()
     payload = run_bench(quick=args.quick)

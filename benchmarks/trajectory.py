@@ -101,11 +101,13 @@ def _scaling_rows(payload: dict) -> Iterator[dict]:
         if entry.get("kernel_exponent") is None:
             continue
         scans = entry.get("full_scans") or []
+        refreshes = entry.get("window_refreshes") or []
         yield _row("scaling", f"{name}_kernel_exponent",
                    entry["kernel_exponent"], "",
                    f"kernel {entry.get('largest_kernel_s')} s at "
                    f"{entry.get('largest_lines')} lines, "
-                   f"full scans <= {max(scans, default=None)}")
+                   f"full scans <= {max(scans, default=None)}, "
+                   f"window refreshes <= {max(refreshes, default=None)}")
 
 
 _EXTRACTORS = {

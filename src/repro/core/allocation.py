@@ -88,10 +88,14 @@ class AllocationPlan:
             raise ConfigurationError(
                 f"SWR count {self.swr_regions.size} != RWR count {self.rwr_regions.size}"
             )
-        all_ids = np.concatenate(
-            [self.swr_regions, self.additional_regions, self.working_regions]
+        all_ids = np.sort(
+            np.concatenate(
+                [self.swr_regions, self.additional_regions, self.working_regions]
+            )
         )
-        if np.unique(all_ids).size != all_ids.size:
+        # Sort plus adjacent equality, not ``np.unique``: its hash-based
+        # path is far slower on the half-million regions of large devices.
+        if np.any(all_ids[1:] == all_ids[:-1]):
             raise ConfigurationError("allocation plan assigns a region to two roles")
 
     @property
@@ -201,12 +205,10 @@ def plan_allocation(
         swr_paired = swr_ascending
         rwr_paired = generator.permutation(rwr_ascending)
 
-    spare_ids = set(int(region) for region in swr) | set(
-        int(region) for region in additional
-    )
-    working = np.array(
-        [region for region in range(regions) if region not in spare_ids], dtype=np.intp
-    )
+    is_working = np.ones(regions, dtype=bool)
+    is_working[swr] = False
+    is_working[additional] = False
+    working = np.flatnonzero(is_working)
     return AllocationPlan(
         swr_regions=swr_paired,
         rwr_regions=rwr_paired,

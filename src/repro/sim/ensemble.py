@@ -36,7 +36,6 @@ member to the solo engine so the audit machinery applies unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,7 +46,7 @@ from repro.device.faults import FaultModel
 from repro.endurance.emap import EnduranceMap
 from repro.obs.metrics import MetricsRegistry, maybe_span
 from repro.sim.faults import FaultInjector, active_injector, active_task_key
-from repro.sim.kernel import advance_trial, weight_stats
+from repro.sim.kernel import advance_trial, set_up_trial, weight_stats
 from repro.sim.result import SimulationResult
 from repro.sparing.base import (
     BatchedSchemeState,
@@ -205,9 +204,6 @@ def simulate_ensemble(
             slots = backing.size
             min_user_slots = min(state.min_user_slots(index), slots)
 
-            budgets = endurance[backing]
-            if budgets.dtype != np.float64:
-                budgets = budgets.astype(float)
             profile = member.attack.profile(slots)
 
             # Generator rngs are excluded from the cached path: a hit
@@ -222,34 +218,20 @@ def simulate_ensemble(
             w_scalar: Optional[float] = None
             cached_uniform = uniform_cache.get(slots) if cache_eligible else None
             if cached_uniform is not None:
-                # attach() is skipped, so its endurance validation is kept.
-                if not budgets.min() > 0:
-                    raise ValueError("slot endurances must be strictly positive")
                 weights, eta, active_weight, w_max, wl_desc = cached_uniform
-                all_prone = True  # constant 1/slots weights
                 w_scalar = float(weights[0])
+                current_death = set_up_trial(
+                    endurance, backing, profile, member.rng, uniform=(weights, eta)
+                ).current_death
             else:
                 wl = (
                     member.wearleveler
                     if member.wearleveler is not None
                     else NoWearLeveling()
                 )
-                wl.attach(budgets, derive_rng(member.rng, "wearlevel"))
-                distribution = wl.wear_weights(profile)
-                weights = np.asarray(distribution.weights, dtype=float)
-                if weights.size != slots:
-                    raise ValueError(
-                        f"wear-leveler produced {weights.size} weights "
-                        f"for {slots} slots"
-                    )
-                eta = distribution.useful_fraction
-
-                # With every slot wear-prone the masked assignment
-                # collapses to one full divide -- both branches produce
-                # the solo values exactly.  (``min() > 0`` is the
-                # allocation-free spelling of ``(weights > 0).all()``;
-                # weights are finite by contract.)
-                all_prone = slots > 0 and bool(weights.min() > 0.0)
+                weights, eta, current_death, all_prone = set_up_trial(
+                    endurance, backing, profile, member.rng, wearleveler=wl
+                )
 
                 active_weight = None
                 w_max = 0.0
@@ -268,20 +250,6 @@ def simulate_ensemble(
                     uniform_cache[slots] = (
                         weights, eta, active_weight, w_max, wl_desc
                     )
-
-            if all_prone:
-                # Dividing by the scalar (when the weights are constant)
-                # yields the same elementwise quotients bit for bit; on
-                # the cached path nothing else holds ``budgets`` (attach
-                # was skipped), so the divide reuses its buffer.
-                if w_scalar is not None:
-                    current_death = np.divide(budgets, w_scalar, out=budgets)
-                else:
-                    current_death = budgets / weights
-            else:
-                prone = weights > 0.0
-                current_death = np.full(slots, math.inf)
-                current_death[prone] = budgets[prone] / weights[prone]
 
             attack_desc = member.attack.describe()
             sparing_desc = state.describe(index)

@@ -5,13 +5,15 @@ failure.  Solo ``fluid-batched`` runs it once over a one-trial
 :class:`~repro.sparing.base.FallbackSchemeState`; ``fluid-ensemble``
 runs it per trial over a stacked state.  Both engines therefore share
 one selection pipeline, one accounting order and one set of counters,
-and a trial's result does not depend on which engine drove it.
+and a trial's result does not depend on which engine drove it.  They
+also share one per-trial set-up, :func:`set_up_trial`, which builds the
+trial's wear weights and initial death-time row.
 
 Each epoch selects the next deaths in ``(time, slot)`` order, cuts them
 to the chronologically safe prefix ``time < first + floor / w_max``
 (see :mod:`repro.sim.lifetime`), decides them in one
 ``replace_batch`` call and integrates the served writes with a
-cumulative sum.  Three accelerators change how an epoch is *found*,
+cumulative sum.  Four accelerators change how an epoch is *found*,
 never which deaths it holds:
 
 * **Work set.**  When the scheme never removes slots, every slot is
@@ -27,6 +29,16 @@ never which deaths it holds:
   so the row's ``BATCH_LIMIT``-th smallest value is the full array's).
   Otherwise the rows are published back and the trial continues on the
   full arrays.
+* **Near window.**  The same construction one level down: when the work
+  row is longer than ``NEAR_WINDOW_ENGAGE`` windows, a second compact
+  row holds every work-row time below a *cut* (the ``NEAR_WINDOW``
+  smallest, ties at the cut left out), and epochs are selected on it
+  with ``min(cut, sentinel)`` as the sentinel.  Deaths of window slots
+  are written to both rows.  A window that cannot prove an epoch is
+  refreshed once from the work row; if the fresh one cannot either, the
+  epoch is selected on the work row as before.  The window is dropped
+  when the frontier regime starts or an epoch is selected elsewhere,
+  and rebuilt lazily.
 * **Death frontier.**  After ``SEQUENTIAL_ENTER_STREAK`` one-death
   epochs, a :class:`~repro.sim.frontier.DeathFrontier` over the row
   pops provably identical epochs in O(log work set) per death, with the
@@ -41,16 +53,19 @@ deaths), ``sequential_rounds`` (frontier-served epochs),
 ``regime_switches`` (frontier entries and exits) and ``full_scans``
 (O(slots) selection passes: each work-set build and each epoch selected
 over the full death-time array; passes over the compact work row are not
-counted).
+counted).  ``window_refreshes`` (near-window builds, each one partition
+of the work row) goes to the metrics registry only, as
+``sim.window_refreshes``, so result bodies stay unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.attacks.base import AccessProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.faults import FaultInjector
 from repro.sim.frontier import DeathFrontier
@@ -65,7 +80,9 @@ from repro.sparing.base import (
     RemoveSlot,
     ReplaceWith,
 )
+from repro.util.rng import RandomState, derive_rng
 from repro.verify.invariants import EngineGuard
+from repro.wearlevel.base import WearLeveler
 
 DEGENERATE_REASON = "no wear-prone traffic (simulation degenerate)"
 EXHAUSTED_REASON = "all wear-prone slots exhausted"
@@ -132,6 +149,88 @@ def weight_stats(weights: np.ndarray) -> Tuple[float, float, Optional[float]]:
     if float(weights.min()) == w_max:
         return weights.size * w_max, w_max, w_max
     return math.fsum(weights), w_max, None
+
+
+class TrialSetup(NamedTuple):
+    """One trial's wear weights and initial death-time row."""
+
+    weights: np.ndarray
+    eta: float
+    current_death: np.ndarray
+    #: Every weight is positive (every slot can die).
+    all_prone: bool
+
+
+def set_up_trial(
+    endurance: np.ndarray,
+    backing: np.ndarray,
+    profile: AccessProfile,
+    rng: RandomState,
+    wearleveler: Optional[WearLeveler] = None,
+    uniform: Optional[Tuple[np.ndarray, float]] = None,
+) -> TrialSetup:
+    """Build a trial's weights and initial death times from its backing.
+
+    Gathers the slots' budgets ``endurance[backing]`` once (converted only
+    when not already float64), attaches ``wearleveler`` to them and asks
+    it for the weights of ``profile``.  The attached wear-leveler keeps
+    the budget buffer, so the death times are a fresh quotient: one
+    unmasked divide when every weight is positive, otherwise ``inf`` for
+    the slots that never wear.
+
+    ``uniform = (weights, eta)`` instead reuses a constant, all-positive
+    distribution built for an earlier trial of the same slot count: no
+    wear-leveler is attached (its endurance validation is kept), and the
+    budgets, which nothing else holds, are divided in place by the
+    scalar weight -- bit-identical to the element-wise quotient.
+    """
+    budgets = endurance[backing]
+    if budgets.dtype != np.float64:
+        budgets = budgets.astype(float)
+    if uniform is not None:
+        if not budgets.min() > 0:
+            raise ValueError("slot endurances must be strictly positive")
+        weights, eta = uniform
+        current_death = np.divide(budgets, float(weights[0]), out=budgets)
+        return TrialSetup(weights, eta, current_death, True)
+    assert wearleveler is not None
+    wearleveler.attach(budgets, derive_rng(rng, "wearlevel"))
+    distribution = wearleveler.wear_weights(profile)
+    weights = np.asarray(distribution.weights, dtype=float)
+    if weights.size != backing.size:
+        raise ValueError(
+            f"wear-leveler produced {weights.size} weights for {backing.size} slots"
+        )
+    # ``min() > 0`` is the allocation-free spelling of
+    # ``(weights > 0).all()``; weights are finite by contract.
+    all_prone = backing.size > 0 and bool(weights.min() > 0.0)
+    if all_prone:
+        current_death = budgets / weights
+    else:
+        prone = weights > 0.0
+        current_death = np.full(backing.size, math.inf)
+        current_death[prone] = budgets[prone] / weights[prone]
+    return TrialSetup(weights, distribution.useful_fraction, current_death, all_prone)
+
+
+def _partition_below(
+    row: np.ndarray, limit: int, batch_limit: int
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Positions of every value of ``row`` strictly below its
+    ``limit + 1``-th smallest value, ascending, and that value.
+
+    This builds both compact rows of :func:`advance_trial`, the work set
+    and the near window.  Ties at the threshold land outside, so every
+    value left out is at or above it: the threshold is the ``sentinel``
+    :func:`select_epoch` needs.  Returns ``None`` unless more than
+    ``batch_limit`` positions qualify, so in-row partitions stay possible.
+    Requires ``limit < row.size``.
+    """
+    threshold = float(np.partition(row, limit)[limit])
+    positions = np.flatnonzero(row < threshold)
+    if positions.size <= batch_limit:
+        return None
+    return positions, threshold
 
 
 def select_epoch(
@@ -383,16 +482,42 @@ def advance_trial(
             limit = int(capacity) + batch_limit + 1
             if limit < current_death.size:
                 full_scans += 1
-                # Every slot strictly below the (limit+1)-th smallest
-                # time, ascending; ties at the threshold land outside,
-                # so require enough candidates for in-row partitions.
-                threshold = float(np.partition(current_death, limit)[limit])
-                candidates = np.flatnonzero(current_death < threshold)
-                if candidates.size > batch_limit:
-                    work, sentinel = candidates, threshold
+                built = _partition_below(current_death, limit, batch_limit)
+                if built is not None:
+                    work, sentinel = built
                     cd_row = current_death[work]
                     bk_row = backing[work]
                     w_row = weights[work] if w_scalar is None else None
+
+    # The near window over a long work row: ``cd_near`` holds every
+    # work-row time below ``cut`` (``near`` maps its positions to
+    # work-row positions; ``None`` = no window), so every full-array time
+    # below ``min(cut, sentinel)`` is in it -- the work-set proof one
+    # level down.
+    near: Optional[np.ndarray] = None
+    cd_near = cd_row
+    cut = math.inf
+    window_size = tuning.NEAR_WINDOW
+    window_engage = tuning.NEAR_WINDOW_ENGAGE * window_size
+    window_refreshes = 0
+
+    def refresh_window() -> bool:
+        nonlocal near, cd_near, cut, window_refreshes
+        near = None
+        if cd_row.size <= window_engage:
+            return False
+        window_refreshes += 1
+        built = _partition_below(cd_row, window_size, batch_limit)
+        if built is None:
+            return False
+        near, cut = built
+        cd_near = cd_row[near]
+        return True
+
+    def window_epoch() -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        return select_epoch(
+            cd_near, floor, w_max_active, batch_limit, min(cut, sentinel)
+        )
 
     def view():
         assert guard is not None
@@ -505,9 +630,25 @@ def advance_trial(
                 sequential_rounds += 1
                 pos = np.asarray(picked[0], dtype=np.intp)
                 times = np.asarray(picked[1], dtype=float)
+        near_pos = None
         if pos is None:
             epoch = None
             if work is not None:
+                fresh = near is None
+                if fresh:
+                    refresh_window()
+                if near is not None:
+                    epoch = window_epoch()
+                    if epoch is None and not fresh and refresh_window():
+                        epoch = window_epoch()
+                    if epoch is None:
+                        near = None
+                    else:
+                        near_pos = epoch[0]
+                        # ``near`` ascends, so (time, window position)
+                        # order is (time, work position) order.
+                        epoch = (near[near_pos], epoch[1])
+            if work is not None and epoch is None:
                 epoch = select_epoch(
                     cd_row, floor, w_max_active, batch_limit, sentinel
                 )
@@ -559,6 +700,8 @@ def advance_trial(
         else:
             capacity_failed = False
         pos = pos[:count]
+        if near_pos is not None:
+            near_pos = near_pos[:count]
         sel = sel[:count]
         times = times[:count]
         dead_lines = dead_lines[:count]
@@ -605,6 +748,8 @@ def advance_trial(
             divisor = w_row[hit_pos] if w_scalar is None else w_scalar
             new_deaths = (times if every else times[hit]) + extra / divisor
             cd_row[hit_pos] = new_deaths
+            if near_pos is not None:
+                cd_near[near_pos if every else near_pos[hit]] = new_deaths
             if frontier is not None:
                 for key, death in zip(hit_pos.tolist(), new_deaths.tolist()):
                     frontier.push(key, death)
@@ -660,6 +805,7 @@ def advance_trial(
                         sequential_ok = False
                     else:
                         frontier = candidate
+                        near = None
                         size1_streak = 0
                         regime_switches += 1
             else:
@@ -672,6 +818,8 @@ def advance_trial(
         backing[work] = bk_row
     if guard is not None:
         guard.final_check(view)
+    if metrics is not None:
+        metrics.inc("sim.window_refreshes", window_refreshes)
     extra_meta = {
         "epochs": epochs,
         "sequential_rounds": sequential_rounds,

@@ -43,16 +43,20 @@ exactly; only the summation order of the served-writes integral differs
 
 The kernel finds epochs without rescanning the device: a work set of
 the ``capacity + BATCH_LIMIT`` smallest death times (when the scheme
-bounds its replacements) and a death-frontier heap for one-death
-streams.  The tuning constants below are read by the kernel at call
-time.  Result metadata counts the bookkeeping: ``epochs`` (passes that
-processed deaths), ``sequential_rounds`` (frontier-served passes),
-``regime_switches`` (transitions either way), and ``full_scans``
-(O(slots) selection passes: work-set builds and full-array epochs); the
-same names land in the metrics registry as ``sim.*`` counters next to a
-``sim.epoch_size`` histogram.  ``fluid-exact`` routes its heap through
-the same frontier index (``heap_compactions`` keeps its historical
-meaning).  See ``docs/fluid_engine.md``, "The batched epoch kernel".
+bounds its replacements), a near window of the ``NEAR_WINDOW`` smallest
+work-set times (when the work set is long), and a death-frontier heap
+for one-death streams.  The tuning constants below are read by the
+kernel at call time.  Result metadata counts the bookkeeping: ``epochs``
+(passes that processed deaths), ``sequential_rounds`` (frontier-served
+passes), ``regime_switches`` (transitions either way), and
+``full_scans`` (O(slots) selection passes: work-set builds and
+full-array epochs); the same names land in the metrics registry as
+``sim.*`` counters next to a ``sim.epoch_size`` histogram and the
+registry-only ``sim.window_refreshes``.  Both engines build their
+weights and initial death times with the kernel's one per-trial set-up,
+:func:`~repro.sim.kernel.set_up_trial`.  ``fluid-exact`` routes its
+heap through the same frontier index (``heap_compactions`` keeps its
+historical meaning).  See ``docs/fluid_engine.md``, "The batched epoch kernel".
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ from repro.sim.kernel import (
     EXHAUSTED_REASON,
     advance_trial,
     apply_state_corruption,
+    set_up_trial,
     weight_stats,
 )
 from repro.sim.result import SimulationResult, TimelineEvent
@@ -112,6 +117,15 @@ HEAP_SLACK = 2
 
 #: Upper bound on deaths pulled into one epoch of the batched engine.
 BATCH_LIMIT = 4096
+
+#: Size of the batched kernel's near window: the compact row of the
+#: smallest work-set death times each epoch is selected from (8 epochs'
+#: worth of ``BATCH_LIMIT``).
+NEAR_WINDOW = 32768
+
+#: The near window engages only on work rows longer than this many
+#: windows; a shorter row is cheap enough to select from directly.
+NEAR_WINDOW_ENGAGE = 2
 
 #: Consecutive one-death epochs before the batched kernel drops into its
 #: frontier-driven sequential regime (the BPA / concentrated-wear
@@ -185,7 +199,7 @@ class LifetimeSimulator:
         counters (``sim.deaths``, ``sim.replacements``, per-engine
         ``sim.epochs`` / ``sim.sequential_rounds`` /
         ``sim.regime_switches`` / ``sim.full_scans`` /
-        ``sim.heap_compactions``) and the ``sim.deaths_per_run`` and
+        ``sim.window_refreshes`` / ``sim.heap_compactions``) and the ``sim.deaths_per_run`` and
         ``sim.epoch_size`` histograms (the latter makes the batched
         kernel's regime visible: 1-wide epochs are the sequential
         signature).  With verification enabled it also records
@@ -361,21 +375,13 @@ class LifetimeSimulator:
             slots = backing.size
             min_user_slots = min(self._sparing.min_user_slots, slots)
 
-            wl_rng = derive_rng(self._rng, "wearlevel")
-            self._wl.attach(endurance[backing], wl_rng)
-            profile = self._attack.profile(slots)
-            distribution = self._wl.wear_weights(profile)
-            weights = np.asarray(distribution.weights, dtype=float)
-            if weights.size != slots:
-                raise ValueError(
-                    f"wear-leveler produced {weights.size} weights for {slots} slots"
-                )
-            eta = distribution.useful_fraction
-
-            budgets = endurance[backing].astype(float)
-            current_death = np.full(slots, math.inf)
-            prone = weights > 0.0
-            current_death[prone] = budgets[prone] / weights[prone]
+            weights, eta, current_death, _ = set_up_trial(
+                endurance,
+                backing,
+                self._attack.profile(slots),
+                self._rng,
+                wearleveler=self._wl,
+            )
 
             guard: Optional[EngineGuard] = None
             if self._paranoia != "off":

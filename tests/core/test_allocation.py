@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.allocation import plan_allocation
+from repro.core.allocation import AllocationPlan, plan_allocation
 from repro.device.errors import ConfigurationError
 from repro.endurance.emap import EnduranceMap
 
@@ -121,3 +121,45 @@ class TestBudgeting:
         plan = plan_allocation(figure3_emap(), 0.0)
         assert plan.spare_region_count == 0
         assert plan.working_regions.size == 7
+
+
+class TestPlanValidation:
+    """A plan gives every region exactly one role."""
+
+    def test_region_in_two_roles_rejected(self):
+        # Region 6 is both an additional spare and a working region.
+        with pytest.raises(ConfigurationError, match="two roles"):
+            AllocationPlan(
+                swr_regions=[2, 3],
+                rwr_regions=[1, 5],
+                additional_regions=[6],
+                working_regions=[0, 1, 4, 5, 6],
+            )
+
+    def test_region_twice_in_one_role_rejected(self):
+        with pytest.raises(ConfigurationError, match="two roles"):
+            AllocationPlan(
+                swr_regions=[2, 2],
+                rwr_regions=[1, 5],
+                additional_regions=[],
+                working_regions=[0, 1, 4, 5],
+            )
+
+    def test_disjoint_roles_accepted(self):
+        plan = AllocationPlan(
+            swr_regions=[2, 3],
+            rwr_regions=[1, 5],
+            additional_regions=[6],
+            working_regions=[0, 1, 4, 5],
+        )
+        assert plan.spare_region_count == 3
+
+    @pytest.mark.parametrize("selection", ["weak-priority", "random", "strong-priority"])
+    def test_working_regions_are_the_non_spares(self, selection):
+        emap = EnduranceMap(np.random.default_rng(4).uniform(10.0, 100.0, 40), regions=40)
+        plan = plan_allocation(emap, 0.3, 0.5, spare_selection=selection, rng=1)
+        spares = set(plan.swr_regions.tolist()) | set(plan.additional_regions.tolist())
+        assert plan.working_regions.tolist() == [
+            region for region in range(40) if region not in spares
+        ]
+        assert plan.working_regions.dtype == np.intp

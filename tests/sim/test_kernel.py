@@ -3,17 +3,21 @@
 Solo ``fluid-batched`` and ``fluid-ensemble`` run the same loop, so
 these tests pin what that loop promises on top of the differential
 suites: the work-set proof (including its batch-cap refinement) stays
-exact, UAA at realistic geometries selects without rescanning the
-device, and Max-WE reports the replacement capacity the work set needs.
+exact, the near window inside the work set keeps the same epochs as it
+drains and refreshes, UAA at realistic geometries selects without
+rescanning the device, and Max-WE reports the replacement capacity the
+work set needs.
 """
 
 import numpy as np
 import pytest
 
+import repro.sim.kernel as kernel_module
 import repro.sim.lifetime as lifetime_module
 from repro.attacks.uaa import UniformAddressAttack
 from repro.core.maxwe import MaxWE
 from repro.endurance.emap import EnduranceMap
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
 from repro.sparing.base import BATCH_REPLACE
@@ -39,6 +43,11 @@ def run_engines(emap_factory, scheme_name, seed, engines):
         )
         for engine in engines
     }
+
+
+def death_key(event):
+    """A timeline event without its served-writes stamp."""
+    return (event.slot, event.dead_line, event.action, event.replacement_line)
 
 
 def assert_bit_identical(a, b):
@@ -128,6 +137,92 @@ class TestUaaSelectsWithoutRescans:
         assert_engines_agree(runs["fluid-exact"], batched)
         assert batched.metadata["full_scans"] <= 2
         assert batched.metadata["epochs"] == self.EPOCHS[point]
+
+
+class TestNearWindow:
+    """Epochs selected on the near window -- every work-row time below a
+    cut -- are the work row's epochs, however often the window drains
+    and is refreshed.  The window constants are patched down so the
+    small devices here engage it."""
+
+    @staticmethod
+    def run(monkeypatch, emap_factory, scheme_name, seed, window, batch_limit=None):
+        if batch_limit is not None:
+            monkeypatch.setattr(lifetime_module, "BATCH_LIMIT", batch_limit)
+        monkeypatch.setattr(lifetime_module, "NEAR_WINDOW", window)
+        monkeypatch.setattr(lifetime_module, "NEAR_WINDOW_ENGAGE", 2)
+        metrics = MetricsRegistry()
+        runs = {
+            engine: simulate_lifetime(
+                emap_factory(),
+                UniformAddressAttack(),
+                SCHEMES[scheme_name](),
+                rng=seed,
+                engine=engine,
+                metrics=metrics if engine == "fluid-batched" else None,
+            )
+            for engine in ("fluid-exact", "fluid-batched", "fluid-ensemble")
+        }
+        exact, batched = runs["fluid-exact"], runs["fluid-batched"]
+        assert_engines_agree(exact, batched)
+        assert_bit_identical(batched, runs["fluid-ensemble"])
+        # Aggregates cannot see a tie class decided in the wrong order
+        # (equal-weight slots are interchangeable); the death sequence can.
+        assert [death_key(e) for e in batched.timeline] == [
+            death_key(e) for e in exact.timeline
+        ]
+        assert batched.timeline == runs["fluid-ensemble"].timeline
+        assert "window_refreshes" not in batched.metadata
+        return batched, metrics.snapshot()["counters"]["sim.window_refreshes"]
+
+    @pytest.mark.parametrize("point", sorted(TestUaaSelectsWithoutRescans.EPOCHS))
+    def test_refreshes_keep_the_schedule(self, monkeypatch, point):
+        regions, per, scheme_name = point
+        batched, refreshes = self.run(
+            monkeypatch,
+            lambda: ExperimentConfig(
+                regions=regions, lines_per_region=per, seed=2019
+            ).make_emap(),
+            scheme_name,
+            seed=2019,
+            window=6144,
+        )
+        # The ~17k-slot work row drains several 6144-slot windows.
+        assert refreshes >= 2
+        assert batched.metadata["full_scans"] <= 2
+        assert batched.metadata["epochs"] == TestUaaSelectsWithoutRescans.EPOCHS[point]
+
+    @staticmethod
+    def tied_map():
+        # Every endurance value occurs 8 times -- twice BATCH_LIMIT = 4 --
+        # so with a 12-slot window the cut usually falls inside a tie
+        # class that could fill an epoch on its own.
+        values = np.repeat(np.linspace(1000.0, 1500.0, 64), 8)
+        np.random.default_rng(3).shuffle(values)
+        return EnduranceMap(values, regions=64)
+
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_tie_class_straddling_the_cut(self, monkeypatch, scheme_name):
+        straddles = []
+        build = kernel_module._partition_below
+
+        def spy(row, limit, batch_limit):
+            built = build(row, limit, batch_limit)
+            if built is not None and limit == 12:
+                positions, cut = built
+                # The window is exactly the work-row times below the cut:
+                # its tie class stays outside whole, as at the sentinel.
+                assert np.array_equal(positions, np.flatnonzero(row < cut))
+                straddles.append(np.count_nonzero(row <= cut) > limit > positions.size)
+            return built
+
+        monkeypatch.setattr(kernel_module, "_partition_below", spy)
+        batched, refreshes = self.run(
+            monkeypatch, self.tied_map, scheme_name, seed=11, window=12, batch_limit=4
+        )
+        assert any(straddles)
+        assert refreshes >= 2
+        assert batched.metadata["full_scans"] <= 2
 
 
 class TestMaxWECapacity:
