@@ -1,9 +1,12 @@
-"""BENCH_runner -- serial vs parallel throughput of the simulation runner.
+"""BENCH_runner -- serial vs pool vs fabric throughput of the simulation runner.
 
-Times one fixed sweep (the Figure-7 task grid on a mid-size device) twice
-through :class:`~repro.sim.runner.SimRunner`: serially (``jobs=1``) and
-over every CPU, with the cache disabled so the measurement is honest.
-Asserts parallel results stay bit-identical to serial, then emits
+Times one fixed sweep (the Figure-7 task grid on a mid-size device)
+through :class:`~repro.sim.runner.SimRunner`: serially (``jobs=1``), on
+the process pool over every CPU, and on the socket fabric with as many
+workers, with the cache disabled so the measurement is honest.  The
+fabric leg records its ``fabric.fetches`` round trips beside the grants,
+so control-plane chatter is visible next to the wall time.  Asserts
+every leg's results stay bit-identical to serial, then emits
 ``BENCH_runner.json`` at the repo root (and a copy under
 ``benchmarks/results/``) to seed the performance trajectory:
 
@@ -20,6 +23,8 @@ import os
 import platform
 from pathlib import Path
 
+from repro.fabric.backend import FabricBackend
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import ExperimentConfig
 from repro.sim.runner import SimRunner, SimTask
 
@@ -64,13 +69,50 @@ def bench_tasks() -> list[SimTask]:
     ]
 
 
-def run_bench(jobs: int | None = None) -> dict:
-    """Measure the sweep serially and with ``jobs`` workers (default: all
-    CPUs); returns the BENCH_runner payload.
+def _check_identical(tasks, serial_results, results, leg: str) -> None:
+    mismatched = [
+        task.label
+        for task, a, b in zip(tasks, serial_results, results)
+        if a.normalized_lifetime != b.normalized_lifetime
+    ]
+    if mismatched:
+        raise AssertionError(f"{leg} diverged from serial on {mismatched}")
 
-    On a single-CPU box the parallel leg is skipped (a process pool can
+
+def run_fabric_leg(tasks, serial_results, serial, workers: int) -> dict:
+    """Run the sweep on the socket fabric; wall, phases and round trips.
+
+    A clean run makes one fetch per grant plus one final ``shutdown``
+    fetch per worker; more means fetches came back empty.
+    """
+    metrics = MetricsRegistry()
+    results, stats = SimRunner(
+        jobs=workers, backend=FabricBackend(workers=workers), metrics=metrics
+    ).run_detailed(tasks)
+    _check_identical(tasks, serial_results, results, "fabric")
+    return {
+        "workers": stats.jobs,
+        "wall_seconds": round(stats.wall_seconds, 4),
+        "sims_per_second": round(stats.sims_per_second, 3),
+        "vs_serial": (
+            round(stats.sims_per_second / serial.sims_per_second, 3)
+            if serial.sims_per_second
+            else None
+        ),
+        "phases": _phases(stats),
+        "fetches": int(metrics.counter("fabric.fetches")),
+        "leases_granted": int(metrics.counter("fabric.leases_granted")),
+    }
+
+
+def run_bench(jobs: int | None = None) -> dict:
+    """Measure the sweep serially, on the pool and on the fabric with
+    ``jobs`` workers (default: all CPUs); returns the BENCH_runner payload.
+
+    On a single-CPU box the pool leg is skipped (a process pool can
     only lose there) and recorded as ``null`` with an explanatory note,
-    so the payload never reports a fake "parallel" measurement.
+    so the payload never reports a fake "parallel" measurement.  The
+    fabric leg always runs: what it measures is control-plane overhead.
     """
     cpus = os.cpu_count() or 1
     tasks = bench_tasks()
@@ -78,8 +120,8 @@ def run_bench(jobs: int | None = None) -> dict:
 
     payload = {
         "bench": "runner",
-        "description": "serial vs parallel sims/sec on the fixed Figure-7 "
-        "task grid (24 BPA simulations, cache disabled)",
+        "description": "serial vs pool vs fabric sims/sec on the fixed "
+        "Figure-7 task grid (24 BPA simulations, cache disabled)",
         "platform": platform.platform(),
         "cpus": cpus,
         "config": {
@@ -96,6 +138,7 @@ def run_bench(jobs: int | None = None) -> dict:
             "sims_per_second": round(serial.sims_per_second, 3),
             "phases": _phases(serial),
         },
+        "fabric": run_fabric_leg(tasks, serial_results, serial, jobs or cpus),
     }
 
     if cpus == 1:
@@ -109,13 +152,7 @@ def run_bench(jobs: int | None = None) -> dict:
         return payload
 
     parallel_results, parallel = SimRunner(jobs=jobs or 0).run_detailed(tasks)
-    mismatched = [
-        task.label
-        for task, a, b in zip(tasks, serial_results, parallel_results)
-        if a.normalized_lifetime != b.normalized_lifetime
-    ]
-    if mismatched:
-        raise AssertionError(f"parallel diverged from serial on {mismatched}")
+    _check_identical(tasks, serial_results, parallel_results, "parallel")
 
     payload["parallel"] = {
         "jobs": parallel.jobs,
@@ -140,8 +177,9 @@ def emit(payload: dict) -> Path:
 
 
 def test_runner_throughput_bench():
-    """Pytest entry point: parallel must match serial and not be
-    pathologically slower; emits BENCH_runner.json as a side effect."""
+    """Pytest entry point: pool and fabric must match serial, and the
+    pool must not be pathologically slower; emits BENCH_runner.json as a
+    side effect."""
     payload = run_bench()
     emit(payload)
     assert payload["results_identical"]

@@ -91,6 +91,12 @@ def _runner_rows(payload: dict) -> Iterator[dict]:
     if payload.get("speedup") is not None:
         yield _row("runner", "parallel_vs_serial", payload["speedup"], "x",
                    f"{_get(payload, 'tasks')} tasks")
+    fabric = payload.get("fabric") or {}
+    if fabric.get("vs_serial") is not None:
+        yield _row("runner", "fabric_vs_serial", fabric["vs_serial"], "x",
+                   f"{fabric.get('fetches')} fetches for "
+                   f"{fabric.get('leases_granted')} grants, "
+                   f"{fabric.get('workers')} workers")
     if payload.get("results_identical") is not None:
         yield _row("runner", "results_identical",
                    payload["results_identical"], "bool")

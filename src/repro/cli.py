@@ -336,6 +336,8 @@ def _emit_metrics(
             **(
                 {
                     "backend": "fabric",
+                    "workers": metrics.gauge_value("fabric.workers"),
+                    "fetches": metrics.counter("fabric.fetches"),
                     "leases_granted": metrics.counter("fabric.leases_granted"),
                     "leases_expired": metrics.counter("fabric.leases_expired"),
                     "steals": metrics.counter("fabric.steals"),

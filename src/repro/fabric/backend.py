@@ -254,6 +254,8 @@ class FabricBackend(ExecutorBackend):
                 handle_attempt_failure(
                     policy, state, error, kind, coordinator.ready, summary, events
                 )
+                # A retry just joined the ready queue: wake held fetches.
+                coordinator.lock.notify_all()
             if state.index in summary.failures:
                 outstanding.pop(state.index, None)
                 healable[state.index] = state
@@ -407,7 +409,6 @@ class FabricBackend(ExecutorBackend):
                                 attempts=state.attempts,
                             )
                             outstanding.pop(index, None)
-            coordinator.request_shutdown()
         except KeyboardInterrupt:
             summary.interrupted = True
             with coordinator.lock:
@@ -422,6 +423,7 @@ class FabricBackend(ExecutorBackend):
                 )
             outstanding.clear()
         finally:
+            shutdown_started = monotonic()
             coordinator.request_shutdown()
             for process in processes:
                 process.join(timeout=SHUTDOWN_GRACE_SECONDS)
@@ -436,6 +438,9 @@ class FabricBackend(ExecutorBackend):
             # ends with zero outstanding (orphaned) leases.
             metrics.gauge("fabric.active_leases", coordinator.active_leases())
             coordinator.close()
+            metrics.observe_seconds(
+                "fabric/shutdown", monotonic() - shutdown_started
+            )
             # The control-plane ledger is scratch outside this execute:
             # leases name worker processes that no longer exist.
             try:

@@ -38,13 +38,34 @@ Robustness model
   workers that reconnect keep heartbeating and committing against the
   leases they already hold; anything the ledger cannot prove was leased
   goes back on the ready queue.
+
+Scheduling model
+----------------
+The control plane is event-driven: no party sleeps out a poll timer.
+
+* **Held fetches.**  A fetch that finds nothing grantable is held on
+  the coordinator's condition (``lock``) rather than answered ``wait``.
+  It wakes when a notify announces new work -- an innocent requeue or
+  any other lease drop, a retry the supervisor appended to ``ready``
+  -- or ``shutdown``, or the coordinator closing or crashing; and on a
+  timer for the two things that come true by the passage of time alone:
+  the earliest ``not_before`` retry stamp, and the moment the oldest
+  lease becomes steal-eligible.  :data:`FETCH_HOLD_SECONDS` caps the
+  hold; a capped fetch answers ``wait`` and the worker simply fetches
+  again.  A held fetch on a crashed or closing coordinator returns
+  without granting, so nothing new reaches the shared ledger.
+* **Woken listener.**  The accept thread blocks in ``accept()`` with no
+  timeout; :meth:`Coordinator.close` and :meth:`Coordinator.crash` shut
+  the listener down, which wakes it at once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
+import select
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -108,6 +129,12 @@ class _TaskSlot:
     leases: Set[int] = field(default_factory=set)
     done: bool = False
 
+
+#: Longest a fetch is held waiting for grantable work before it is
+#: answered ``wait`` (the worker then fetches again).  A safety net:
+#: every path that makes work grantable notifies held fetches, or is
+#: timed (retry stamps, steal eligibility).
+FETCH_HOLD_SECONDS: float = 2.0
 
 #: Schema header value of coordinator ledger files.
 COORDINATOR_LEDGER_SCHEMA: int = 1
@@ -262,7 +289,9 @@ class Coordinator:
         self._lease_ttl = float(lease_ttl)
         self._metrics = metrics
         self._events = events
-        self.lock = threading.Lock()
+        #: Guards all shared state; held fetches wait on it, and every
+        #: path that makes work grantable notifies it.
+        self.lock = threading.Condition()
         self.ready: Deque[SupervisedTask] = deque(pending)
         self._slots: Dict[str, _TaskSlot] = {
             state.key: _TaskSlot(state=state) for state in pending
@@ -281,7 +310,6 @@ class Coordinator:
             self._restore(ledger.replay())
 
         self._listener = socket.create_server((host, port), backlog=64)
-        self._listener.settimeout(0.2)
         self._closing = threading.Event()
         self._crashed = False
         self._conns: Set[socket.socket] = set()
@@ -354,17 +382,31 @@ class Coordinator:
         return self._listener.fileno()
 
     def request_shutdown(self) -> None:
-        """Make every subsequent fetch answer ``shutdown``."""
+        """Make every held and subsequent fetch answer ``shutdown``."""
         with self.lock:
             self._shutdown = True
+            self.lock.notify_all()
 
-    def close(self) -> None:
-        """Stop accepting, close the listener, and join handler threads."""
-        self._closing.set()
+    def _stop_listening(self, *, crashed: bool) -> None:
+        """Release held fetches and wake the blocked accept thread."""
+        with self.lock:
+            self._crashed = self._crashed or crashed
+            self._closing.set()
+            self.lock.notify_all()
+        try:
+            # Closing a listener does not wake a thread blocked in
+            # accept(); shutting it down does.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
             pass
+
+    def close(self) -> None:
+        """Stop accepting, close the listener, and join handler threads."""
+        self._stop_listening(crashed=False)
         self._accept_thread.join(timeout=2.0)
         for thread in self._threads:
             thread.join(timeout=2.0)
@@ -386,12 +428,7 @@ class Coordinator:
         restart would first absorb the journal's committed tail.
         """
         host, port = self.address
-        self._crashed = True
-        self._closing.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._stop_listening(crashed=True)
         for conn in list(self._conns):
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -474,6 +511,9 @@ class Coordinator:
         lease = self._leases.pop(lease_id, None)
         if lease is None:
             return
+        # A dropped lease can requeue its task or leave a lone sibling
+        # that is stealable: either way a held fetch may now succeed.
+        self.lock.notify_all()
         if self._ledger is not None:
             self._ledger.append({"event": "release", "lease": lease_id})
         slot = self._slots[lease.state.key]
@@ -541,8 +581,6 @@ class Coordinator:
         while not self._closing.is_set():
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
             conn.settimeout(None)
@@ -561,6 +599,7 @@ class Coordinator:
         sibling (stolen) lease survives to decide the task instead.
         """
         current_lease: Optional[int] = None
+        hold = True
         try:
             while True:
                 try:
@@ -569,7 +608,11 @@ class Coordinator:
                     message = None
                 if message is None:
                     break
-                reply = self._dispatch(message)
+                reply = self._dispatch(message, hold=hold)
+                # A frame already queued behind this one is a duplicate
+                # the worker pipelined: it reads both replies before
+                # acting on either, so that fetch must not be held.
+                hold = not _frame_pending(conn)
                 if message.get("type") == "fetch":
                     current_lease = (
                         reply["lease"] if reply.get("type") == "task" else None
@@ -616,10 +659,10 @@ class Coordinator:
             )
         )
 
-    def _dispatch(self, message: dict) -> dict:
+    def _dispatch(self, message: dict, *, hold: bool = True) -> dict:
         kind = message.get("type")
         if kind == "fetch":
-            return self._handle_fetch(message)
+            return self._handle_fetch(message, hold=hold)
         if kind == "commit":
             return self._handle_commit(message)
         if kind == "fail":
@@ -628,45 +671,71 @@ class Coordinator:
             return self._handle_heartbeat(message)
         return {"type": "error", "error": f"unknown message type {kind!r}"}
 
-    def _handle_fetch(self, message: dict) -> dict:
+    def _handle_fetch(self, message: dict, *, hold: bool = True) -> dict:
+        """Grant a task, holding the request while nothing is grantable.
+
+        Answers ``shutdown`` once requested (or on a closing
+        coordinator), ``wait`` on a crashed one or when the hold cap
+        passes -- and at once, without holding, when ``hold`` is false.
+        """
         worker = str(message.get("worker", "?"))
-        now = monotonic()
+        deadline = monotonic() + FETCH_HOLD_SECONDS
         with self.lock:
-            if self._shutdown:
-                return {"type": "shutdown"}
-            # Ready work first: skip states already committed via a late
-            # or duplicate path, honor retry backoff stamps.
-            for _ in range(len(self.ready)):
-                state = self.ready.popleft()
-                if self._slots[state.key].done:
-                    continue
-                if state.not_before > now:
-                    self.ready.append(state)
-                    continue
-                attempt = state.attempts
-                state.attempts += 1
-                return self._grant(state, worker, attempt=attempt, stolen=False)
-            # Nothing queued: steal the oldest lease past half its TTL
-            # (same attempt number; at most two leases per task).
-            candidate: Optional[Lease] = None
-            for lease in self._leases.values():
-                slot = self._slots[lease.state.key]
-                if slot.done or len(slot.leases) >= 2:
-                    continue
-                if lease.worker == worker:
-                    continue
-                if now - lease.granted < self._lease_ttl / 2.0:
-                    continue
-                if candidate is None or lease.granted < candidate.granted:
-                    candidate = lease
-            if candidate is not None:
-                return self._grant(
-                    candidate.state,
-                    worker,
-                    attempt=candidate.attempt,
-                    stolen=True,
-                )
-            return {"type": "wait"}
+            self._metrics.inc("fabric.fetches")
+            while True:
+                if self._crashed:
+                    return {"type": "wait"}
+                if self._shutdown or self._closing.is_set():
+                    return {"type": "shutdown"}
+                now = monotonic()
+                reply, wake_at = self._try_grant(worker, now)
+                if reply is not None:
+                    return reply
+                if not hold or now >= deadline:
+                    return {"type": "wait"}
+                self.lock.wait(min(wake_at, deadline) - now)
+
+    def _try_grant(self, worker: str, now: float) -> Tuple[Optional[dict], float]:
+        """Grant ready work or a steal; else say when one may come due.
+
+        Returns ``(reply, wake_at)``: the grant (or ``None``) and the
+        earliest instant a retry stamp or a steal becomes eligible by
+        the passage of time alone (``inf`` if none will).
+        """
+        wake_at = math.inf
+        # Ready work first: skip states already committed via a late
+        # or duplicate path, honor retry backoff stamps.
+        for _ in range(len(self.ready)):
+            state = self.ready.popleft()
+            if self._slots[state.key].done:
+                continue
+            if state.not_before > now:
+                self.ready.append(state)
+                wake_at = min(wake_at, state.not_before)
+                continue
+            attempt = state.attempts
+            state.attempts += 1
+            return self._grant(state, worker, attempt=attempt, stolen=False), wake_at
+        # Nothing queued: steal the oldest lease past half its TTL
+        # (same attempt number; at most two leases per task).
+        candidate: Optional[Lease] = None
+        for lease in self._leases.values():
+            slot = self._slots[lease.state.key]
+            if slot.done or len(slot.leases) >= 2:
+                continue
+            if lease.worker == worker:
+                continue
+            if now - lease.granted < self._lease_ttl / 2.0:
+                wake_at = min(wake_at, lease.granted + self._lease_ttl / 2.0)
+                continue
+            if candidate is None or lease.granted < candidate.granted:
+                candidate = lease
+        if candidate is None:
+            return None, wake_at
+        grant = self._grant(
+            candidate.state, worker, attempt=candidate.attempt, stolen=True
+        )
+        return grant, wake_at
 
     def _handle_commit(self, message: dict) -> dict:
         key = message.get("key")
@@ -735,3 +804,12 @@ class Coordinator:
                 return {"type": "ack", "valid": False}
             lease.last_beat = monotonic()
             return {"type": "ack", "valid": True}
+
+
+def _frame_pending(conn: socket.socket) -> bool:
+    """Whether ``conn`` has unread bytes (or EOF) waiting right now."""
+    try:
+        readable, _, _ = select.select([conn], [], [], 0.0)
+    except (OSError, ValueError):
+        return False
+    return bool(readable)

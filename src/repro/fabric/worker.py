@@ -25,6 +25,11 @@ Crash faults hard-exit the process (``os._exit``), exactly like a pool
 worker: the coordinator sees EOF on a live lease and charges the
 attempt as a crash.
 
+An idle worker does not poll: the coordinator holds its fetch until
+work is grantable or ``shutdown`` is requested, so the worker learns of
+either the moment it happens.  A ``wait`` reply (the hold cap passed)
+is answered with an immediate re-fetch.
+
 A dead coordinator socket is *not* fatal: every request retries through
 capped, jittered exponential backoff (:func:`_request_with_backoff`), so
 a worker rides out a coordinator crash-restart and then resumes against
@@ -52,9 +57,6 @@ from repro.sim.resilience import (
     is_retryable,
     time_limit,
 )
-
-#: Poll interval while the coordinator has nothing ready to hand out.
-IDLE_POLL_SECONDS: float = 0.05
 
 #: First reconnect delay; doubles per consecutive failure.
 RECONNECT_BASE_SECONDS: float = 0.05
@@ -202,7 +204,8 @@ def worker_main(
             if kind == "shutdown":
                 return
             if kind != "task":
-                time.sleep(IDLE_POLL_SECONDS)
+                # ``wait``: the coordinator already held this fetch up
+                # to its cap (or crashed), so fetch again at once.
                 continue
 
             lease_id = reply["lease"]
