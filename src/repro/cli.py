@@ -59,7 +59,6 @@ from repro.util.validation import (
     positive_float_arg,
     positive_int_arg,
 )
-from repro.wearlevel import make_scheme
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -118,17 +117,6 @@ def _trials_per_task_arg(value: str) -> int:
     return trials
 
 
-def _add_trials_per_task_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trials-per-task",
-        type=_trials_per_task_arg,
-        default=None,
-        metavar="N",
-        help="runs per ensemble chunk with --engine fluid-ensemble "
-        "(default: auto-sized from the run count and --jobs)",
-    )
-
-
 def _fault_spec_arg(text: str) -> str:
     try:
         FaultSpec.parse(text)
@@ -158,13 +146,6 @@ def _add_verify_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _verify_kwargs(args: argparse.Namespace) -> dict:
-    return {
-        "paranoia": getattr(args, "paranoia", "off"),
-        "shadow_sample": getattr(args, "shadow_sample", 0.0),
-    }
-
-
 def _add_metrics_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics-out",
@@ -181,7 +162,15 @@ def _add_metrics_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
+def _execution_parent() -> argparse.ArgumentParser:
+    """The argparse parent of every runner-backed command.
+
+    Carries the config, metrics, verification, runner, engine and
+    trials-per-task flags; :func:`_execution_from` turns them into
+    :class:`~repro.sim.runner.ExecutionOptions` keywords.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_config_arguments(parser)
     _add_metrics_arguments(parser)
     _add_verify_arguments(parser)
     parser.add_argument(
@@ -268,6 +257,16 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="fabric lease time-to-live without a heartbeat before the "
         "task is requeued (default: 10); fabric only",
     )
+    _add_engine_argument(parser)
+    parser.add_argument(
+        "--trials-per-task",
+        type=_trials_per_task_arg,
+        default=None,
+        metavar="N",
+        help="runs per ensemble chunk with --engine fluid-ensemble "
+        "(default: auto-sized from the run count and --jobs)",
+    )
+    return parser
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
@@ -278,14 +277,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         endurance_model=args.endurance_model,
         seed=args.seed,
     )
-
-
-def _cache_from(args: argparse.Namespace):
-    if getattr(args, "no_cache", False):
-        return None
-    from repro.sim.cache import ResultCache
-
-    return ResultCache()
 
 
 def _print_cache_stats(cache) -> None:
@@ -313,19 +304,10 @@ def _emit_metrics(
     """
     if metrics is None:
         return
-    config_payload = None
-    if config is not None:
-        config_payload = {
-            "regions": config.regions,
-            "lines_per_region": config.lines_per_region,
-            "q": config.q,
-            "endurance_model": config.endurance_model,
-            "seed": config.seed,
-        }
     manifest = build_manifest(
         metrics,
         command=args.command,
-        config=config_payload,
+        config=None if config is None else config.device_identity(),
         engine=getattr(args, "engine", None),
         jobs=getattr(args, "jobs", None),
         extra={
@@ -371,33 +353,6 @@ def _emit_metrics(
         print(profile_report(manifest))
 
 
-def _backend_from(args: argparse.Namespace):
-    """Build the executor backend the command asked for.
-
-    ``None`` keeps the runner's default process pool; ``--backend
-    fabric`` constructs a :class:`~repro.fabric.backend.FabricBackend`
-    with ``--workers`` / ``--lease-ttl`` applied.
-    """
-    name = getattr(args, "backend", "pool")
-    if name != "fabric":
-        return None
-    from repro.fabric.backend import DEFAULT_LEASE_TTL, FabricBackend
-
-    lease_ttl = getattr(args, "lease_ttl", None)
-    return FabricBackend(
-        workers=getattr(args, "workers", None),
-        lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
-    )
-
-
-def _policy_from(args: argparse.Namespace) -> ResiliencePolicy:
-    return ResiliencePolicy(
-        timeout=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", 2),
-        fail_fast=getattr(args, "fail_fast", False),
-    )
-
-
 def _checkpoint_from(
     args: argparse.Namespace, config: ExperimentConfig, extra: dict | None = None
 ) -> "Checkpoint | None":
@@ -414,19 +369,51 @@ def _checkpoint_from(
     payload = {
         "command": args.command,
         "engine": getattr(args, "engine", None),
-        "config": {
-            "regions": config.regions,
-            "lines_per_region": config.lines_per_region,
-            "q": config.q,
-            "endurance_model": config.endurance_model,
-            "seed": config.seed,
-        },
+        "config": config.device_identity(),
     }
     if extra:
         payload.update(extra)
     path = derive_checkpoint_path(args.command, payload)
     print(f"[checkpoint journal: {path}]")
     return Checkpoint(path, resume=True)
+
+
+def _execution_from(
+    args: argparse.Namespace, config: ExperimentConfig, extra: dict | None = None
+) -> dict:
+    """The :class:`~repro.sim.runner.ExecutionOptions` keywords the
+    command's flags ask for.
+
+    Also activates ``--inject-faults``.  ``extra`` joins the derived
+    ``--resume`` journal key (see :func:`_checkpoint_from`).
+    """
+    _install_faults(args)
+    cache = backend = None
+    if not args.no_cache:
+        from repro.sim.cache import ResultCache
+
+        cache = ResultCache()
+    if args.backend == "fabric":
+        from repro.fabric.backend import DEFAULT_LEASE_TTL, FabricBackend
+
+        backend = FabricBackend(
+            workers=args.workers,
+            lease_ttl=DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl,
+        )
+    return {
+        "jobs": args.jobs,
+        "cache": cache,
+        "engine": args.engine,
+        "policy": ResiliencePolicy(
+            timeout=args.timeout, retries=args.retries, fail_fast=args.fail_fast
+        ),
+        "checkpoint": _checkpoint_from(args, config, extra),
+        "metrics": _metrics_from(args),
+        "paranoia": args.paranoia,
+        "shadow_sample": args.shadow_sample,
+        "trials_per_task": args.trials_per_task,
+        "backend": backend,
+    }
 
 
 def _install_faults(args: argparse.Namespace) -> None:
@@ -500,7 +487,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config=config,
         engine=args.engine,
         record_timeline=True,
-        **_verify_kwargs(args),
+        paranoia=args.paranoia,
+        shadow_sample=args.shadow_sample,
     )
     with maybe_span(metrics, "cli/total"):
         result, _ = task.execute(metrics=metrics)
@@ -514,139 +502,70 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_spare(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
-    _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
-        rows = [
-            [f"{fraction:.0%}", result.normalized_lifetime]
-            for fraction, result in spare_fraction_sweep(
-                config,
-                jobs=args.jobs,
-                trials_per_task=args.trials_per_task,
-                cache=cache,
-                engine=args.engine,
-                policy=_policy_from(args),
-                checkpoint=_checkpoint_from(args, config),
-                metrics=metrics,
-                backend=_backend_from(args),
-                **_verify_kwargs(args),
-            )
-        ]
-    print(
-        render_table(
-            ["spare capacity", "normalized lifetime"],
-            rows,
-            title="Figure 6: Max-WE under UAA vs spare capacity",
-        )
+def _fig6_table(sweep) -> str:
+    rows = [[f"{fraction:.0%}", result.normalized_lifetime] for fraction, result in sweep]
+    return render_table(
+        ["spare capacity", "normalized lifetime"],
+        rows,
+        title="Figure 6: Max-WE under UAA vs spare capacity",
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
-    return 0
 
 
-def _cmd_sweep_swr(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
-    _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
-        sweeps = swr_fraction_sweep(
-            config,
-            jobs=args.jobs,
-            trials_per_task=args.trials_per_task,
-            cache=cache,
-            engine=args.engine,
-            policy=_policy_from(args),
-            checkpoint=_checkpoint_from(args, config),
-            metrics=metrics,
-            backend=_backend_from(args),
-            **_verify_kwargs(args),
-        )
+def _fig7_table(sweeps) -> str:
     fractions = [fraction for fraction, _ in next(iter(sweeps.values()))]
     headers = ["wear-leveler"] + [f"{fraction:.0%}" for fraction in fractions]
     rows = [
         [name] + [result.normalized_lifetime for _, result in series]
         for name, series in sweeps.items()
     ]
-    print(
-        render_table(
-            headers, rows, title="Figure 7: Max-WE under BPA vs SWR share of spares"
-        )
+    return render_table(
+        headers, rows, title="Figure 7: Max-WE under BPA vs SWR share of spares"
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
-    return 0
 
 
-def _cmd_compare_uaa(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
-    _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
-        results = uaa_scheme_comparison(
-            config,
-            jobs=args.jobs,
-            trials_per_task=args.trials_per_task,
-            cache=cache,
-            engine=args.engine,
-            policy=_policy_from(args),
-            checkpoint=_checkpoint_from(args, config),
-            metrics=metrics,
-            backend=_backend_from(args),
-            **_verify_kwargs(args),
-        )
+def _uaa_table(results) -> str:
     baseline = results["no-protection"].normalized_lifetime
     rows = [
         [name, result.normalized_lifetime, result.normalized_lifetime / baseline]
         for name, result in results.items()
     ]
-    print(
-        render_table(
-            ["scheme", "normalized lifetime", "improvement (X)"],
-            rows,
-            title="Section 5.3.1: lifetimes under UAA (10% spares)",
-        )
+    return render_table(
+        ["scheme", "normalized lifetime", "improvement (X)"],
+        rows,
+        title="Section 5.3.1: lifetimes under UAA (10% spares)",
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
-    return 0
 
 
-def _cmd_compare_bpa(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
-    _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
-        comparison = bpa_scheme_comparison(
-            config,
-            jobs=args.jobs,
-            trials_per_task=args.trials_per_task,
-            cache=cache,
-            engine=args.engine,
-            policy=_policy_from(args),
-            checkpoint=_checkpoint_from(args, config),
-            metrics=metrics,
-            backend=_backend_from(args),
-            **_verify_kwargs(args),
-        )
+def _fig8_table(comparison) -> str:
     wearlevelers = list(next(iter(comparison.values())).keys())
     headers = ["scheme"] + wearlevelers + ["gmean"]
     rows = []
     for name, row in comparison.items():
         lifetimes = [row[wl].normalized_lifetime for wl in wearlevelers]
         rows.append([name] + lifetimes + [geometric_mean(lifetimes)])
-    print(
-        render_table(
-            headers, rows, title="Figure 8: sparing schemes under BPA (90% SWRs)"
-        )
+    return render_table(
+        headers, rows, title="Figure 8: sparing schemes under BPA (90% SWRs)"
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
+
+
+#: The figure subcommands: name -> (help, sweep driver, table renderer).
+_FIGURE_COMMANDS = {
+    "sweep-spare": ("Figure 6 sweep", spare_fraction_sweep, _fig6_table),
+    "sweep-swr": ("Figure 7 sweep", swr_fraction_sweep, _fig7_table),
+    "compare-uaa": ("Section 5.3.1 table", uaa_scheme_comparison, _uaa_table),
+    "compare-bpa": ("Figure 8 comparison", bpa_scheme_comparison, _fig8_table),
+}
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    _, driver, render = _FIGURE_COMMANDS[args.command]
+    config = _config_from(args)
+    options = _execution_from(args, config)
+    with maybe_span(options["metrics"], "cli/total"):
+        result = driver(config, **options)
+    print(render(result))
+    _print_cache_stats(options["cache"])
+    _emit_metrics(args, options["metrics"], config)
     return 0
 
 
@@ -678,30 +597,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: spec file {args.specs!r} is not valid JSON: {error}")
         return 1
     config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
-    _install_faults(args)
     try:
-        with maybe_span(metrics, "cli/total"):
-            batch = run_batch(
-                specs,
-                config,
-                jobs=args.jobs,
-                trials_per_task=args.trials_per_task,
-                cache=cache,
-                engine=args.engine,
-                policy=_policy_from(args),
-                checkpoint=_checkpoint_from(args, config, {"specs": specs}),
-                metrics=metrics,
-                backend=_backend_from(args),
-                **_verify_kwargs(args),
-            )
+        options = _execution_from(args, config, {"specs": specs})
+        with maybe_span(options["metrics"], "cli/total"):
+            batch = run_batch(specs, config, **options)
     except (ValueError, TypeError) as error:
         print(f"error: invalid batch spec: {error}")
         return 1
     print(batch.to_table())
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
+    _print_cache_stats(options["cache"])
+    _emit_metrics(args, options["metrics"], config)
     if args.output:
         batch.to_json(args.output)
         print(f"\narchive written to {args.output}")
@@ -727,19 +632,11 @@ def _cmd_service_submit(args: argparse.Namespace) -> int:
     except _json.JSONDecodeError as error:
         print(f"error: spec file {args.specs!r} is not valid JSON: {error}")
         return 1
-    config = _config_from(args)
-    config_dict = {
-        "regions": config.regions,
-        "lines_per_region": config.lines_per_region,
-        "q": config.q,
-        "endurance_model": config.endurance_model,
-        "seed": config.seed,
-    }
     client = _service_client(args)
     try:
         document = client.submit(
             specs,
-            config_dict,
+            _config_from(args).device_identity(),
             tenant=args.tenant,
             engine=args.engine,
         )
@@ -871,11 +768,15 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.reporting.report import generate_report
 
-    document = generate_report(_config_from(args), args.output)
+    config = _config_from(args)
+    options = _execution_from(args, config)
+    with maybe_span(options["metrics"], "cli/total"):
+        document = generate_report(config, args.output, **options)
     if args.output:
         print(f"report written to {args.output}")
     else:
         print(document)
+    _emit_metrics(args, options["metrics"], config)
     return 0
 
 
@@ -927,33 +828,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(handler=_cmd_simulate)
 
-    sweep_spare = subparsers.add_parser("sweep-spare", help="Figure 6 sweep")
-    _add_config_arguments(sweep_spare)
-    _add_runner_arguments(sweep_spare)
-    _add_engine_argument(sweep_spare)
-    _add_trials_per_task_argument(sweep_spare)
-    sweep_spare.set_defaults(handler=_cmd_sweep_spare)
-
-    sweep_swr = subparsers.add_parser("sweep-swr", help="Figure 7 sweep")
-    _add_config_arguments(sweep_swr)
-    _add_runner_arguments(sweep_swr)
-    _add_engine_argument(sweep_swr)
-    _add_trials_per_task_argument(sweep_swr)
-    sweep_swr.set_defaults(handler=_cmd_sweep_swr)
-
-    compare_uaa = subparsers.add_parser("compare-uaa", help="Section 5.3.1 table")
-    _add_config_arguments(compare_uaa)
-    _add_runner_arguments(compare_uaa)
-    _add_engine_argument(compare_uaa)
-    _add_trials_per_task_argument(compare_uaa)
-    compare_uaa.set_defaults(handler=_cmd_compare_uaa)
-
-    compare_bpa = subparsers.add_parser("compare-bpa", help="Figure 8 comparison")
-    _add_config_arguments(compare_bpa)
-    _add_runner_arguments(compare_bpa)
-    _add_engine_argument(compare_bpa)
-    _add_trials_per_task_argument(compare_bpa)
-    compare_bpa.set_defaults(handler=_cmd_compare_bpa)
+    execution = _execution_parent()
+    for name, (help_text, _, _) in _FIGURE_COMMANDS.items():
+        figure = subparsers.add_parser(name, help=help_text, parents=[execution])
+        figure.set_defaults(handler=_cmd_figure)
 
     overhead = subparsers.add_parser("overhead", help="Section 5.3.2 overhead")
     overhead.add_argument("--p", type=fraction_arg, default=0.1, help="spare fraction")
@@ -963,13 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     overhead.set_defaults(handler=_cmd_overhead)
 
     batch = subparsers.add_parser(
-        "batch", help="run a JSON list of experiment specs"
+        "batch", help="run a JSON list of experiment specs", parents=[execution]
     )
     batch.add_argument("specs", type=str, help="path to a JSON spec list")
-    _add_config_arguments(batch)
-    _add_runner_arguments(batch)
-    _add_engine_argument(batch)
-    _add_trials_per_task_argument(batch)
     batch.add_argument(
         "--output", type=str, default=None, help="also archive results as JSON"
     )
@@ -1051,9 +925,10 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(handler=_cmd_replay_trace)
 
     report = subparsers.add_parser(
-        "report", help="run the full evaluation and emit a Markdown report"
+        "report",
+        help="run the full evaluation and emit a Markdown report",
+        parents=[execution],
     )
-    _add_config_arguments(report)
     report.add_argument(
         "--output", type=str, default=None, help="write the report to this path"
     )

@@ -62,8 +62,8 @@ def _closed_forms_section(config: ExperimentConfig) -> ReportSection:
     return ReportSection("Analytic lifetimes (Section 4.3)", "\n".join(lines))
 
 
-def _uaa_section(config: ExperimentConfig) -> ReportSection:
-    results = uaa_scheme_comparison(config)
+def _uaa_section(config: ExperimentConfig, options: dict) -> ReportSection:
+    results = uaa_scheme_comparison(config, **options)
     baseline = results["no-protection"]
     chart = bar_chart(
         {name: result.normalized_lifetime for name, result in results.items()},
@@ -79,8 +79,8 @@ def _uaa_section(config: ExperimentConfig) -> ReportSection:
     return ReportSection("UAA scheme comparison (Section 5.3.1)", body)
 
 
-def _fig6_section(config: ExperimentConfig) -> ReportSection:
-    sweep = spare_fraction_sweep(config)
+def _fig6_section(config: ExperimentConfig, options: dict) -> ReportSection:
+    sweep = spare_fraction_sweep(config, **options)
     fractions = [fraction for fraction, _ in sweep]
     measured = [result.normalized_lifetime for _, result in sweep]
     paper = [PAPER["fig6"][fraction] for fraction in fractions]
@@ -92,8 +92,8 @@ def _fig6_section(config: ExperimentConfig) -> ReportSection:
     return ReportSection("Spare-capacity sweep (Figure 6)", _code(plot))
 
 
-def _fig7_section(config: ExperimentConfig) -> ReportSection:
-    sweeps = swr_fraction_sweep(config)
+def _fig7_section(config: ExperimentConfig, options: dict) -> ReportSection:
+    sweeps = swr_fraction_sweep(config, **options)
     fractions = [fraction for fraction, _ in next(iter(sweeps.values()))]
     plot = line_plot(
         fractions,
@@ -106,8 +106,8 @@ def _fig7_section(config: ExperimentConfig) -> ReportSection:
     return ReportSection("SWR-share sweep (Figure 7)", _code(plot))
 
 
-def _fig8_section(config: ExperimentConfig) -> ReportSection:
-    comparison = bpa_scheme_comparison(config)
+def _fig8_section(config: ExperimentConfig, options: dict) -> ReportSection:
+    comparison = bpa_scheme_comparison(config, **options)
     gmeans = {
         name: geometric_mean([r.normalized_lifetime for r in row.values()])
         for name, row in comparison.items()
@@ -121,10 +121,10 @@ def _fig8_section(config: ExperimentConfig) -> ReportSection:
     return ReportSection("BPA scheme comparison (Figure 8)", _code(chart) + "\n\n" + deltas)
 
 
-def _sensitivity_section(config: ExperimentConfig) -> ReportSection:
+def _sensitivity_section(config: ExperimentConfig, options: dict) -> ReportSection:
     from repro.sim.sensitivity import sensitivity_analysis
 
-    report = sensitivity_analysis(config)
+    report = sensitivity_analysis(config, **options)
     lines = ["Lifetime elasticity (% lifetime per % parameter, +10% step):", ""]
     for name, sensitivity in report.items():
         lines.append(
@@ -154,6 +154,7 @@ def _overhead_section() -> ReportSection:
 def generate_report(
     config: Optional[ExperimentConfig] = None,
     output_path: "str | Path | None" = None,
+    **options: object,
 ) -> str:
     """Run the full evaluation and return (optionally write) the report.
 
@@ -163,15 +164,19 @@ def generate_report(
         Experiment configuration; defaults to the paper's setup.
     output_path:
         When given, the Markdown is also written there.
+    options:
+        Execution keywords (:class:`~repro.sim.runner.ExecutionOptions`)
+        forwarded to every simulated section; the document is identical
+        for every value.
     """
     config = config if config is not None else ExperimentConfig()
     sections: List[ReportSection] = [
         _closed_forms_section(config),
-        _uaa_section(config),
-        _fig6_section(config),
-        _fig7_section(config),
-        _fig8_section(config),
-        _sensitivity_section(config),
+        _uaa_section(config, options),
+        _fig6_section(config, options),
+        _fig7_section(config, options),
+        _fig8_section(config, options),
+        _sensitivity_section(config, options),
         _overhead_section(),
     ]
     header = (

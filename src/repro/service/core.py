@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic, perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import build_manifest
@@ -44,7 +44,9 @@ from repro.sim.batch import RunSpec, run_batch
 from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
 from repro.sim.faults import CRASH_EXIT_CODE, active_injector
+from repro.sim.lifetime import normalize_engine
 from repro.sim.resilience import ResiliencePolicy, derive_checkpoint_path
+from repro.sim.runner import ExecutionOptions
 
 #: Default service state directory (job records, ledgers, shared cache).
 DEFAULT_STATE_DIR = ".repro-service"
@@ -89,6 +91,11 @@ class ServiceConfig:
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
     policy: Optional[ResiliencePolicy] = None
+
+    def __post_init__(self) -> None:
+        # A bad default engine stops the service here, not at every
+        # submission that leaves ``engine`` out.
+        object.__setattr__(self, "engine", normalize_engine(self.engine))
 
 
 class SimService:
@@ -214,6 +221,10 @@ class SimService:
         for name in _OPTION_FIELDS:
             if payload.get(name) is not None:
                 options[name] = payload[name]
+        try:
+            options["engine"] = ExecutionOptions(**options).engine
+        except (TypeError, ValueError) as error:
+            raise ValidationError(f"bad options: {error}") from error
         deadline: Optional[float] = None
         if payload.get("deadline_seconds") is not None:
             try:
@@ -413,7 +424,6 @@ class SimService:
 
     def _run_batch(self, job: Job) -> str:
         """Execute the job's batch; returns the canonical result body."""
-        options = job.options
         registry = MetricsRegistry()
         ledger = self._ledger_path(job)
 
@@ -431,13 +441,12 @@ class SimService:
             ExperimentConfig(**job.config),
             jobs=self.config.jobs,
             cache=self.cache,
-            engine=str(options.get("engine", self.config.engine)),
             policy=self.config.policy,
             checkpoint=ledger,
             metrics=registry,
-            trials_per_task=options.get("trials_per_task"),
             backend=self.config.backend,
             on_result=on_result,
+            **job.options,
         )
         body = batch.to_json()
         with self._metrics_lock:

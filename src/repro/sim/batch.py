@@ -19,22 +19,18 @@ Spec fields mirror the CLI's vocabulary::
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.attacks.suite import WORKLOAD_NAMES
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
-from repro.sim.resilience import Checkpoint, ResiliencePolicy
 from repro.sim.result import SimulationResult
 from repro.sim.runner import (
     ATTACKS,
     SPARINGS,
     WEARLEVELERS,
-    SimRunner,
+    ExecutionOptions,
     SimTask,
     build_attack,
     build_sparing,
@@ -115,14 +111,12 @@ class RunSpec:
     def build_wearleveler(self):
         return build_wearleveler(self.wearlevel)
 
-    def to_task(
-        self,
-        config: ExperimentConfig,
-        engine: str = "fluid-batched",
-        paranoia: str = "off",
-        shadow_sample: float = 0.0,
-    ) -> SimTask:
-        """The declarative runner task equivalent to this spec."""
+    def to_task(self, config: ExperimentConfig, **task_fields: object) -> SimTask:
+        """The declarative runner task equivalent to this spec.
+
+        ``task_fields`` are the per-task execution fields
+        (:meth:`~repro.sim.runner.ExecutionOptions.task_fields`).
+        """
         return SimTask(
             attack=self.attack,
             sparing=self.sparing,
@@ -130,10 +124,8 @@ class RunSpec:
             p=self.p,
             swr=self.swr,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
             label=self.label,
+            **task_fields,
         )
 
 
@@ -180,13 +172,7 @@ class BatchResult:
     def to_json(self, path: "str | Path | None" = None) -> str:
         """JSON archive of specs + results (timeline omitted for size)."""
         payload = {
-            "config": {
-                "regions": self.config.regions,
-                "lines_per_region": self.config.lines_per_region,
-                "q": self.config.q,
-                "endurance_model": self.config.endurance_model,
-                "seed": self.config.seed,
-            },
+            "config": self.config.device_identity(),
             "runs": [
                 {
                     "spec": spec.to_dict(),
@@ -205,17 +191,8 @@ def run_batch(
     specs: Sequence["RunSpec | Dict"],
     config: ExperimentConfig | None = None,
     *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
-    on_result: Optional[object] = None,
+    on_result: Optional[Callable[[int, SimulationResult, float], None]] = None,
+    **options: object,
 ) -> BatchResult:
     """Execute a list of specs against one device configuration.
 
@@ -226,69 +203,23 @@ def run_batch(
     config:
         Shared device configuration; its seed seeds every run, exactly
         as the historical serial loop did.
-    jobs:
-        Worker processes for the underlying :class:`SimRunner` (1 =
-        serial, 0/None = all CPUs).  Results are seed-deterministic and
-        identical in any job count.
-    cache:
-        Optional content-addressed result cache; unchanged specs rerun
-        instantly.
-    engine:
-        Lifetime engine for every run (see
-        :data:`repro.sim.lifetime.ENGINES`).
-    policy:
-        Supervision policy (timeouts, retries, crash isolation); see
-        :class:`~repro.sim.resilience.ResiliencePolicy`.
-    checkpoint:
-        Optional resume checkpoint (or journal path): completed runs
-        stream to it and a re-invocation skips finished work.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` collecting
-        runner/engine spans and counters for the batch.
-    paranoia / shadow_sample:
-        State-integrity verification knobs applied to every run (see
-        :mod:`repro.verify.invariants`); results are bit-identical
-        across levels.
-    trials_per_task:
-        Runs per ensemble chunk when ``engine="fluid-ensemble"``: chunked
-        runs advance together in one kernel pass while every result stays
-        bit-identical to its per-task dispatch.  ``None`` auto-sizes; see
-        :class:`~repro.sim.runner.SimRunner`.
-    backend:
-        Execution backend spec (``"pool"``/``"fabric"`` or an
-        :class:`~repro.sim.executor.ExecutorBackend` instance); results
-        are bit-identical across backends.
     on_result:
         Optional ``(index, result, elapsed)`` observer forwarded to the
         runner; fires once per spec as its result lands (the service
         layer streams partial results through it).
+    options:
+        Execution keywords (:class:`~repro.sim.runner.ExecutionOptions`);
+        results are identical for every value.
     """
     if not specs:
         raise ValueError("batch needs at least one spec")
     config = config if config is not None else ExperimentConfig()
+    run = ExecutionOptions(**options)
     normalized: List[RunSpec] = [
         spec if isinstance(spec, RunSpec) else RunSpec.from_dict(spec)
         for spec in specs
     ]
-    runner = SimRunner(
-        jobs=jobs,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        metrics=metrics,
-        trials_per_task=trials_per_task,
-        backend=backend,
-        on_result=on_result,
-    )
-    results = runner.run(
-        [
-            spec.to_task(
-                config,
-                engine=engine,
-                paranoia=paranoia,
-                shadow_sample=shadow_sample,
-            )
-            for spec in normalized
-        ]
+    results = run.runner(on_result).run(
+        [spec.to_task(config, **run.task_fields()) for spec in normalized]
     )
     return BatchResult(specs=tuple(normalized), results=tuple(results), config=config)

@@ -137,6 +137,20 @@ class ExperimentConfig:
             self.seed,
         )
 
+    def device_identity(self) -> dict:
+        """The device's identity (shape, endurance model, seed) as a dict.
+
+        The form that metrics manifests, ``--resume`` journal keys,
+        service submissions and batch archives carry.
+        """
+        return {
+            "regions": self.regions,
+            "lines_per_region": self.lines_per_region,
+            "q": self.q,
+            "endurance_model": self.endurance_model,
+            "seed": self.seed,
+        }
+
     def with_(self, **changes: object) -> "ExperimentConfig":
         """Return a modified copy (sweep helper)."""
         return replace(self, **changes)  # type: ignore[arg-type]

@@ -17,29 +17,20 @@ tests can format them however they need.
 
 Every driver expresses its runs as declarative
 :class:`~repro.sim.runner.SimTask` specs and executes them through one
-:class:`~repro.sim.runner.SimRunner`, so all sweeps accept ``jobs``
-(process-parallel fan-out; results are bit-identical to serial),
-``cache`` (content-addressed result reuse across reruns), ``policy``
-(supervision: per-task timeouts, bounded retries, crash isolation --
-see :class:`~repro.sim.resilience.ResiliencePolicy`), and
-``checkpoint`` (append-only completed-result journal so an interrupted
-sweep resumes without re-simulating finished points), and the
-state-integrity knobs ``paranoia`` / ``shadow_sample`` (see
-:mod:`repro.verify`; verification never changes results).
+:class:`~repro.sim.runner.SimRunner`.  Each accepts the execution
+keywords of :class:`~repro.sim.runner.ExecutionOptions` (parallel
+fan-out, result cache, supervision policy, resume checkpoint, metrics,
+verification, backend); none of them changes a result.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.maxwe import MaxWE
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
-from repro.sim.resilience import Checkpoint, ResiliencePolicy
 from repro.sim.result import SimulationResult
-from repro.sim.runner import SimRunner, SimTask
+from repro.sim.runner import ExecutionOptions, SimTask
 from repro.sparing.base import SpareScheme
 from repro.sparing.pcd import PCD
 from repro.sparing.ps import PS
@@ -69,36 +60,10 @@ _TASK_SPARING_NAMES: Dict[str, str] = {
 }
 
 
-def _run_tasks(
-    tasks: Sequence[SimTask],
-    jobs: int,
-    cache: Optional[ResultCache],
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
-) -> List[SimulationResult]:
-    return SimRunner(
-        jobs=jobs, cache=cache, policy=policy, checkpoint=checkpoint,
-        metrics=metrics, trials_per_task=trials_per_task, backend=backend,
-    ).run(tasks)
-
-
 def spare_fraction_sweep(
     config: ExperimentConfig | None = None,
     fractions: Sequence[float] = FIG6_SPARE_FRACTIONS,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **options: object,
 ) -> List[Tuple[float, SimulationResult]]:
     """Figure 6: Max-WE under UAA across spare-capacity percentages.
 
@@ -107,6 +72,7 @@ def spare_fraction_sweep(
     is varied here.  A zero fraction degenerates to the unprotected device.
     """
     config = config if config is not None else ExperimentConfig()
+    run = ExecutionOptions(**options)
     tasks = [
         SimTask(
             attack="uaa",
@@ -114,14 +80,12 @@ def spare_fraction_sweep(
             p=fraction,
             swr=config.swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
+            **run.task_fields(),
             label=f"spare={fraction:.0%}",
         )
         for fraction in fractions
     ]
-    results = _run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend)
+    results = run.runner().run(tasks)
     return list(zip(fractions, results))
 
 
@@ -129,20 +93,11 @@ def swr_fraction_sweep(
     config: ExperimentConfig | None = None,
     swr_fractions: Sequence[float] = FIG7_SWR_FRACTIONS,
     wearlevelers: Sequence[str] = EVALUATED_WEAR_LEVELERS,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **options: object,
 ) -> Dict[str, List[Tuple[float, SimulationResult]]]:
     """Figure 7: Max-WE under BPA across SWR shares, per wear-leveler."""
     config = config if config is not None else ExperimentConfig()
+    run = ExecutionOptions(**options)
     tasks = [
         SimTask(
             attack="bpa",
@@ -151,15 +106,13 @@ def swr_fraction_sweep(
             p=config.spare_fraction,
             swr=swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
+            **run.task_fields(),
             label=f"{wl_name}/swr={swr_fraction:.0%}",
         )
         for wl_name in wearlevelers
         for swr_fraction in swr_fractions
     ]
-    results = iter(_run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend))
+    results = iter(run.runner().run(tasks))
     return {
         wl_name: [(swr_fraction, next(results)) for swr_fraction in swr_fractions]
         for wl_name in wearlevelers
@@ -170,17 +123,7 @@ def bpa_scheme_comparison(
     config: ExperimentConfig | None = None,
     wearlevelers: Sequence[str] = EVALUATED_WEAR_LEVELERS,
     sparing_names: Sequence[str] = ("ps-worst", "pcd-ps", "max-we"),
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **options: object,
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Figure 8: sparing schemes under BPA across wear-levelers.
 
@@ -189,6 +132,7 @@ def bpa_scheme_comparison(
     normalized lifetimes for the paper's Gmean bars.
     """
     config = config if config is not None else ExperimentConfig()
+    run = ExecutionOptions(**options)
     tasks = [
         SimTask(
             attack="bpa",
@@ -197,15 +141,13 @@ def bpa_scheme_comparison(
             p=config.spare_fraction,
             swr=config.swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
+            **run.task_fields(),
             label=f"{sparing_name}/{wl_name}",
         )
         for sparing_name in sparing_names
         for wl_name in wearlevelers
     ]
-    results = iter(_run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend))
+    results = iter(run.runner().run(tasks))
     return {
         sparing_name: {wl_name: next(results) for wl_name in wearlevelers}
         for sparing_name in sparing_names
@@ -214,17 +156,7 @@ def bpa_scheme_comparison(
 
 def uaa_scheme_comparison(
     config: ExperimentConfig | None = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **options: object,
 ) -> Dict[str, SimulationResult]:
     """Section 5.3.1: UAA lifetimes at 10% spares for all sparing schemes.
 
@@ -233,6 +165,7 @@ def uaa_scheme_comparison(
     ideal lifetime respectively (9.5X / 7.4X / 6.9X improvements).
     """
     config = config if config is not None else ExperimentConfig()
+    run = ExecutionOptions(**options)
     names = ("no-protection", "ps-worst", "pcd-ps", "max-we")
     tasks = [
         SimTask(
@@ -241,12 +174,10 @@ def uaa_scheme_comparison(
             p=config.spare_fraction,
             swr=config.swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
+            **run.task_fields(),
             label=name,
         )
         for name in names
     ]
-    results = _run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend)
+    results = run.runner().run(tasks)
     return dict(zip(names, results))

@@ -51,6 +51,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from numbers import Integral
 from time import monotonic, perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -87,7 +88,6 @@ from repro.sim.resilience import (
     RunInterrupted,
     SimulationFailure,
     TaskTimeout,
-    is_retryable,
     time_limit,
 )
 from repro.sim.result import SimulationResult
@@ -707,19 +707,22 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return int(jobs)
 
 
+def _require_chunk_size(size: Optional[int]) -> None:
+    """Validate an ensemble chunk size: ``None`` or an int >= 1."""
+    if size is None:
+        return
+    if isinstance(size, bool) or not isinstance(size, Integral):
+        raise TypeError(f"trials_per_task must be an int, got {size!r}")
+    if size < 1:
+        raise ValueError(f"trials_per_task must be >= 1, got {size}")
+
+
 def _picklable(tasks: Sequence[AnyTask]) -> bool:
     try:
         pickle.dumps(tuple(tasks))
         return True
     except Exception:
         return False
-
-
-# Historical names, kept for callers/tests written against PR 3-7: the
-# supervision state and summary now live in :mod:`repro.sim.executor` so
-# backends outside this module can share them.
-_Supervised = SupervisedTask
-_ExecutionSummary = ExecutionSummary
 
 
 def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
@@ -1122,41 +1125,13 @@ def resolve_backend(
 class SimRunner:
     """Execute independent simulation tasks, supervised and in parallel.
 
+    ``jobs``, ``cache``, ``policy``, ``checkpoint``, ``metrics``,
+    ``trials_per_task`` and ``backend`` are the runner-level fields of
+    :class:`ExecutionOptions`, documented there;
+    :meth:`ExecutionOptions.runner` builds a runner from them.
+
     Parameters
     ----------
-    jobs:
-        Worker processes; 1 (default) runs serially in-process, 0 or
-        ``None`` uses every CPU.
-    cache:
-        Optional :class:`ResultCache`; declarative :class:`SimTask`\\ s
-        are looked up before simulating and stored after.
-        :class:`CallableTask`\\ s always simulate.
-    policy:
-        The :class:`~repro.sim.resilience.ResiliencePolicy` governing
-        timeouts, retries, backoff, and fail-fast; defaults to bounded
-        retries with no timeout.
-    checkpoint:
-        Optional :class:`~repro.sim.resilience.Checkpoint` (or a path,
-        opened in resume mode): completed results stream to the journal
-        and previously journaled tasks are served without re-simulating.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` to record
-        into (so one registry can span several runner calls plus CLI
-        overhead).  When omitted the runner uses a private registry;
-        either way the final snapshot lands in ``stats.metrics``.
-    trials_per_task:
-        Ensemble chunk size: consecutive tasks with the
-        ``"fluid-ensemble"`` engine and matching options are advanced
-        ``trials_per_task`` at a time by one stacked kernel pass (see
-        :mod:`repro.sim.ensemble`).  ``None`` (default) auto-sizes the
-        chunks to ``ceil(run / jobs)`` so pool parallelism and trial
-        stacking compose.  Irrelevant to other engines.
-    backend:
-        Execution backend: ``"pool"`` (default; local process pool),
-        ``"fabric"`` (socket-served multi-host coordinator, see
-        :mod:`repro.fabric`), or an :class:`ExecutorBackend` instance.
-        Determinism holds across backends: the same task list yields
-        bit-identical results on either.
     on_result:
         Optional ``(index, result, elapsed)`` observer invoked once per
         task as its result lands -- whether simulated, cache-served, or
@@ -1184,10 +1159,7 @@ class SimRunner:
             checkpoint = Checkpoint(checkpoint, resume=True)
         self._checkpoint = checkpoint
         self._metrics = metrics
-        if trials_per_task is not None and trials_per_task < 1:
-            raise ValueError(
-                f"trials_per_task must be >= 1, got {trials_per_task}"
-            )
+        _require_chunk_size(trials_per_task)
         self._trials_per_task = trials_per_task
         self._backend = resolve_backend(backend)
         self._on_result = on_result
@@ -1244,7 +1216,7 @@ class SimRunner:
             float(task.shadow_sample),
         )
 
-    def _chunk_ensembles(self, pending: List[_Supervised]) -> List[_Supervised]:
+    def _chunk_ensembles(self, pending: List[SupervisedTask]) -> List[SupervisedTask]:
         """Fold consecutive ensemble-engine tasks into chunk states.
 
         Chunks hold ``trials_per_task`` members each; with the knob unset
@@ -1254,8 +1226,8 @@ class SimRunner:
         Checkpoint- and cache-served members never reach this point, so a
         resumed run re-chunks only the remaining members.
         """
-        chunked: List[_Supervised] = []
-        run: List[_Supervised] = []
+        chunked: List[SupervisedTask] = []
+        run: List[SupervisedTask] = []
         run_group: Optional[Tuple[object, ...]] = None
 
         def flush() -> None:
@@ -1286,7 +1258,7 @@ class SimRunner:
                     ("ensemble:" + "\n".join(state.key for state in group)).encode()
                 ).hexdigest()
                 chunked.append(
-                    _Supervised(
+                    SupervisedTask(
                         index=group[0].index,
                         task=chunk,
                         key=digest,
@@ -1355,7 +1327,7 @@ class SimRunner:
         cache_hits = 0
         checkpoint_hits = 0
 
-        pending: List[_Supervised] = []
+        pending: List[SupervisedTask] = []
         with metrics.span("runner/scan"):
             for index, task in enumerate(tasks):
                 key, label = task_identity(task)
@@ -1384,7 +1356,7 @@ class SimRunner:
                         self._on_result(index, cached, 0.0)
                     continue
                 pending.append(
-                    _Supervised(index=index, task=task, key=key, label=label)
+                    SupervisedTask(index=index, task=task, key=key, label=label)
                 )
             pending = self._chunk_ensembles(pending)
         simulated = sum(
@@ -1392,7 +1364,7 @@ class SimRunner:
             for state in pending
         )
 
-        def complete_one(state: _Supervised, result: SimulationResult, elapsed: float) -> None:
+        def complete_one(state: SupervisedTask, result: SimulationResult, elapsed: float) -> None:
             results[state.index] = result
             seconds[state.index] = elapsed
             task = tasks[state.index]
@@ -1403,7 +1375,7 @@ class SimRunner:
             if self._on_result is not None:
                 self._on_result(state.index, result, elapsed)
 
-        def on_complete(state: _Supervised, result, elapsed: float) -> None:
+        def on_complete(state: SupervisedTask, result, elapsed: float) -> None:
             if state.members is None:
                 complete_one(state, result, elapsed)
                 return
@@ -1415,7 +1387,7 @@ class SimRunner:
             for member_state, member_result in zip(state.members, result):
                 complete_one(member_state, member_result, share)
 
-        summary = _ExecutionSummary()
+        summary = ExecutionSummary()
         jobs_used = 1
         previous_sigterm = self._install_sigterm_handler()
         try:
@@ -1536,78 +1508,105 @@ class SimRunner:
         except (ValueError, OSError):
             pass
 
-    # ------------------------------------------------------------------
-    # Supervised execution
-    # ------------------------------------------------------------------
 
-    def _handle_attempt_failure(
+@dataclass(frozen=True)
+class ExecutionOptions:
+    """How a run executes -- never what it computes.
+
+    The one definition of the execution settings every evaluation entry
+    point accepts: the four sweep drivers in
+    :mod:`repro.sim.experiments`, :func:`~repro.sim.batch.run_batch`,
+    :func:`~repro.sim.montecarlo.monte_carlo_lifetime`,
+    :func:`~repro.sim.sensitivity.sensitivity_analysis` and
+    :func:`~repro.reporting.report.generate_report`.  Each takes these
+    fields as keywords and builds one ``ExecutionOptions(**options)`` on
+    entry, so an unknown keyword raises ``TypeError`` and a bad value
+    raises before any work starts.  Results are bit-identical across
+    every value of every field.
+
+    Attributes
+    ----------
+    jobs:
+        Worker processes; 1 (default) runs serially in-process, 0 or
+        ``None`` uses every CPU.
+    cache:
+        Optional :class:`ResultCache`; declarative :class:`SimTask`\\ s
+        are looked up before simulating and stored after.
+        :class:`CallableTask`\\ s always simulate.
+    engine:
+        Lifetime engine for every task (see
+        :data:`repro.sim.lifetime.ENGINES`; aliases are resolved to the
+        canonical name).  ``"fluid-ensemble"`` advances many runs per
+        kernel pass, each bit-identical to its solo run.
+    policy:
+        The :class:`~repro.sim.resilience.ResiliencePolicy` governing
+        timeouts, retries, backoff, and fail-fast; defaults to bounded
+        retries with no timeout.
+    checkpoint:
+        Optional :class:`~repro.sim.resilience.Checkpoint` (or a path,
+        opened in resume mode): completed results stream to the journal
+        and previously journaled tasks are served without re-simulating.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` to record
+        into (so one registry can span several runner calls plus CLI
+        overhead).  When omitted the runner uses a private registry;
+        either way the final snapshot lands in ``stats.metrics``.
+    paranoia / shadow_sample:
+        State-integrity verification applied to every task (see
+        :mod:`repro.verify`): the invariant-checking level and the
+        probability of a differential re-run on the exact engine.
+        Checks never change results.
+    trials_per_task:
+        Ensemble chunk size: consecutive tasks with the
+        ``"fluid-ensemble"`` engine and matching options are advanced
+        ``trials_per_task`` at a time by one stacked kernel pass (see
+        :mod:`repro.sim.ensemble`).  ``None`` (default) auto-sizes the
+        chunks to ``ceil(run / jobs)`` so pool parallelism and trial
+        stacking compose.  Irrelevant to other engines.
+    backend:
+        Execution backend: ``"pool"`` (default; local process pool),
+        ``"fabric"`` (socket-served multi-host coordinator, see
+        :mod:`repro.fabric`), or an :class:`ExecutorBackend` instance.
+    """
+
+    jobs: Optional[int] = 1
+    cache: Optional[ResultCache] = None
+    engine: str = "fluid-batched"
+    policy: Optional[ResiliencePolicy] = None
+    checkpoint: "Checkpoint | str | os.PathLike | None" = None
+    metrics: Optional[MetricsRegistry] = None
+    paranoia: str = "off"
+    shadow_sample: float = 0.0
+    trials_per_task: Optional[int] = None
+    backend: "str | ExecutorBackend | None" = None
+
+    def __post_init__(self) -> None:
+        # The two checks a caller needs before any runner or task exists
+        # (the service validates a submission with them); the runner and
+        # the tasks check the other fields as they are built.
+        object.__setattr__(self, "engine", normalize_engine(self.engine))
+        _require_chunk_size(self.trials_per_task)
+
+    def runner(
         self,
-        state: _Supervised,
-        error: BaseException,
-        kind: str,
-        ready: "deque[_Supervised]",
-        summary: _ExecutionSummary,
-        events: EventLog,
-    ) -> None:
-        """Delegates to the shared :func:`handle_attempt_failure` arbiter."""
-        handle_attempt_failure(
-            self._policy, state, error, kind, ready, summary, events
+        on_result: Optional[Callable[[int, SimulationResult, float], None]] = None,
+    ) -> SimRunner:
+        """A :class:`SimRunner` with these options' runner-level fields."""
+        return SimRunner(
+            jobs=self.jobs,
+            cache=self.cache,
+            policy=self.policy,
+            checkpoint=self.checkpoint,
+            metrics=self.metrics,
+            trials_per_task=self.trials_per_task,
+            backend=self.backend,
+            on_result=on_result,
         )
 
-    def _mark_skipped(
-        self,
-        ready: "deque[_Supervised]",
-        summary: _ExecutionSummary,
-        kind: str = "skipped",
-    ) -> None:
-        mark_skipped(ready, summary, kind)
-
-    def _run_supervised_serial(
-        self,
-        pending: Sequence[_Supervised],
-        events: EventLog,
-        on_complete: Callable[[_Supervised, SimulationResult, float], None],
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> _ExecutionSummary:
-        """Historical entry point; see :meth:`ProcessPoolBackend.run_serial`."""
-        return ProcessPoolBackend().run_serial(
-            pending, self._policy, events, on_complete, metrics
-        )
-
-    def _run_supervised_parallel(
-        self,
-        pending: Sequence[_Supervised],
-        jobs: int,
-        events: EventLog,
-        on_complete: Callable[[_Supervised, SimulationResult, float], None],
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> _ExecutionSummary:
-        """Historical entry point; see :meth:`ProcessPoolBackend.run_parallel`."""
-        return ProcessPoolBackend().run_parallel(
-            pending, jobs, self._policy, events, on_complete, metrics
-        )
-
-    # Backwards-compatible alias used by older callers/tests: the plain
-    # unsupervised fan-out is simply the supervised one with the default
-    # policy, so route through it.
-    def _run_parallel(
-        self, tasks: Sequence[AnyTask], jobs: int
-    ) -> List[Tuple[SimulationResult, float]]:
-        outcomes: Dict[int, Tuple[SimulationResult, float]] = {}
-        states = [
-            _Supervised(index=index, task=task, key=task_identity(task)[0],
-                        label=getattr(task, "label", ""))
-            for index, task in enumerate(tasks)
-        ]
-
-        def collect(state: _Supervised, result: SimulationResult, elapsed: float) -> None:
-            outcomes[state.index] = (result, elapsed)
-
-        summary = self._run_supervised_parallel(states, jobs, EventLog(), collect)
-        if summary.interrupted:
-            raise KeyboardInterrupt("simulation run interrupted")
-        if summary.failures:
-            raise SimulationFailure(
-                tuple(summary.failures[index] for index in sorted(summary.failures))
-            )
-        return [outcomes[index] for index in range(len(states))]
+    def task_fields(self) -> Dict[str, object]:
+        """Keywords for the per-task fields of :class:`SimTask` / :class:`CallableTask`."""
+        return {
+            "engine": self.engine,
+            "paranoia": self.paranoia,
+            "shadow_sample": self.shadow_sample,
+        }
